@@ -296,10 +296,12 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _sweep_cell(payload: dict) -> dict:
-    """One sweep run; returns a row dict. Top-level so process pools can pickle it."""
+    """One sweep run; returns a row dict. Top-level so process pools can pickle it.
+
+    A package error or an OSError (unreadable dataset, unwritable out dir)
+    fails this cell only; it is recorded in the row, never raised.
+    """
     settings = payload["settings"]
-    dataset = load_features(settings["dataset"])
-    out_dir = Path(payload["out_dir"])
     row = {
         "axis": payload["axis"],
         "axis_value": payload["axis_value"],
@@ -309,8 +311,9 @@ def _sweep_cell(payload: dict) -> dict:
         "error": "",
     }
     try:
-        result = _run_one(settings, dataset, out_dir)
-    except CrossbatchError as exc:
+        dataset = load_features(settings["dataset"])
+        result = _run_one(settings, dataset, Path(payload["out_dir"]))
+    except (CrossbatchError, OSError) as exc:
         row["status"] = "failed"
         row["error"] = str(exc)
         return row

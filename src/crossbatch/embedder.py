@@ -146,12 +146,23 @@ class MLPEmbedder:
                 g = (g @ self.weights[idx].T) * cache["relu_masks"][idx - 1]
         return grads
 
+    @classmethod
+    def _from_parameters(cls, layer_dims, weights, biases) -> "MLPEmbedder":
+        """An unfrozen embedder that owns the given arrays, without initializing new ones."""
+        embedder = cls.__new__(cls)
+        embedder.layer_dims = tuple(layer_dims)
+        embedder.weights = list(weights)
+        embedder.biases = list(biases)
+        embedder.frozen_below_last = False
+        return embedder
+
     def clone(self) -> "MLPEmbedder":
         """Deep copy of parameters and freeze state."""
-        other = MLPEmbedder.__new__(MLPEmbedder)
-        other.layer_dims = self.layer_dims
-        other.weights = [w.copy() for w in self.weights]
-        other.biases = [b.copy() for b in self.biases]
+        other = MLPEmbedder._from_parameters(
+            self.layer_dims,
+            [w.copy() for w in self.weights],
+            [b.copy() for b in self.biases],
+        )
         other.frozen_below_last = self.frozen_below_last
         return other
 
@@ -293,18 +304,21 @@ def load_checkpoint(path) -> MLPEmbedder:
     offset += 4 * n_dims
     if n_dims < 1 or any(d < 1 for d in dims):
         raise FormatError("invalid layer dims", 12)
-    embedder = MLPEmbedder(dims)
+    # Check the file holds every claimed parameter before allocating any, so a
+    # short file that claims huge layers fails without building them.
+    layers = []
     for idx, (fan_in, fan_out) in enumerate(zip(dims, dims[1:])):
-        w_bytes = fan_in * fan_out * dtype.itemsize
-        b_bytes = fan_out * dtype.itemsize
-        if len(blob) < offset + w_bytes + b_bytes:
+        end = offset + (fan_in + 1) * fan_out * dtype.itemsize
+        if len(blob) < end:
             raise FormatError(f"truncated parameters for layer {idx}", len(blob))
-        w = np.frombuffer(blob, dtype=dtype, count=fan_in * fan_out, offset=offset)
-        embedder.weights[idx] = w.reshape(fan_in, fan_out).astype(np.float64)
-        offset += w_bytes
-        b = np.frombuffer(blob, dtype=dtype, count=fan_out, offset=offset)
-        embedder.biases[idx] = b.astype(np.float64)
-        offset += b_bytes
+        layers.append((offset, fan_in, fan_out))
+        offset = end
     if offset != len(blob):
         raise FormatError("trailing bytes after parameters", offset)
-    return embedder
+    weights, biases = [], []
+    for start, fan_in, fan_out in layers:
+        w = np.frombuffer(blob, dtype=dtype, count=fan_in * fan_out, offset=start)
+        weights.append(w.reshape(fan_in, fan_out).astype(np.float64))
+        b = np.frombuffer(blob, dtype=dtype, count=fan_out, offset=start + w.nbytes)
+        biases.append(b.astype(np.float64))
+    return MLPEmbedder._from_parameters(dims, weights, biases)

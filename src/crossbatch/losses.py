@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig, NotNormalized
+from .errors import InvalidConfig, NotNormalized, ShapeMismatch
 from .memory import MemoryBank
 from .moments import EmbeddingBatch
 
@@ -49,17 +49,32 @@ class PairMinerConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MinedPairs:
-    """Index pairs (query row, reference row) selected by the margin miner.
+    """Pairs (query row, reference row) selected by the margin miner, as masks.
 
-    self_offset records where the minibatch rows sit inside the reference, so
-    losses can route gradients to both roles of a minibatch row.
+    pos_mask and neg_mask are (n_batch, n_reference) boolean masks over
+    distances, the matrix they were mined from, so the loss reuses it instead
+    of building it again. self_offset records where the minibatch rows sit
+    inside the reference, so losses can route gradients to both roles of a
+    minibatch row. cfg holds the margins the masks were mined with.
     """
 
-    positives: np.ndarray  # (n_pos, 2) int
-    negatives: np.ndarray  # (n_neg, 2) int
-    self_offset: int = 0
+    pos_mask: np.ndarray  # (n_batch, n_reference) bool
+    neg_mask: np.ndarray  # (n_batch, n_reference) bool
+    distances: np.ndarray  # (n_batch, n_reference) float
+    self_offset: int
+    cfg: PairMinerConfig
+
+    @property
+    def positives(self) -> np.ndarray:
+        """(n_pos, 2) index pairs of the positive mask, in row-major order."""
+        return np.argwhere(self.pos_mask)
+
+    @property
+    def negatives(self) -> np.ndarray:
+        """(n_neg, 2) index pairs of the negative mask, in row-major order."""
+        return np.argwhere(self.neg_mask)
 
 
 @dataclass(frozen=True)
@@ -116,11 +131,7 @@ def mine_pairs(
     is_self = _self_mask(batch.n, reference.n, self_offset)
     pos_mask = same & (d > cfg.pos_margin) & ~is_self
     neg_mask = ~same & (d < cfg.neg_margin)
-    return MinedPairs(
-        positives=np.argwhere(pos_mask),
-        negatives=np.argwhere(neg_mask),
-        self_offset=self_offset,
-    )
+    return MinedPairs(pos_mask, neg_mask, d, self_offset, cfg)
 
 
 def _weights_to_grad(
@@ -154,22 +165,30 @@ def contrastive_loss(
 
     value = mean over positives of [d - pos_margin]_+
           + mean over negatives of [neg_margin - d]_+,
-    each mean over its own nonempty list (an empty list contributes 0).
+    each mean over its own nonempty set (an empty set contributes 0).
+
+    pairs must come from mine_pairs(batch, reference, cfg, ...): the loss
+    reads their distance matrix rather than recomputing it, and relies on the
+    miner's predicates (d > pos_margin, d < neg_margin) for every mined hinge
+    being active, so the gradient weight of a pair is just 1/n_pos or -1/n_neg.
     """
-    d = distance_matrix(batch.vectors, reference.vectors)
-    weights = np.zeros_like(d)
+    d = pairs.distances
+    if d.shape != (batch.n, reference.n):
+        raise ShapeMismatch(
+            f"pairs were mined over a {d.shape} matrix, not ({batch.n}, {reference.n})"
+        )
+    if pairs.cfg != cfg:
+        raise InvalidConfig(f"pairs were mined with {pairs.cfg}, not {cfg}")
+    pos_d = d[pairs.pos_mask]  # row-major, the order of pairs.positives
+    neg_d = d[pairs.neg_mask]
     value = 0.0
-    pos, neg = pairs.positives, pairs.negatives
-    if len(pos):
-        pd = d[pos[:, 0], pos[:, 1]]
-        value += float(np.maximum(0.0, pd - cfg.pos_margin).mean())
-        active = pd > cfg.pos_margin
-        np.add.at(weights, (pos[active, 0], pos[active, 1]), 1.0 / len(pos))
-    if len(neg):
-        nd = d[neg[:, 0], neg[:, 1]]
-        value += float(np.maximum(0.0, cfg.neg_margin - nd).mean())
-        active = nd < cfg.neg_margin
-        np.add.at(weights, (neg[active, 0], neg[active, 1]), -1.0 / len(neg))
+    weights = np.zeros_like(d)
+    if pos_d.size:
+        value += float((pos_d - cfg.pos_margin).mean())
+        weights += pairs.pos_mask / pos_d.size
+    if neg_d.size:
+        value += float((cfg.neg_margin - neg_d).mean())
+        weights -= pairs.neg_mask / neg_d.size
     grad = _weights_to_grad(weights, batch.vectors, reference.vectors, pairs.self_offset)
     return LossOutput(value=value, grad=grad)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, InsufficientSamples, InvalidConfig
-from .moments import EmbeddingBatch, MomentStats, compute_moments, xbn_transform
+from .moments import EmbeddingBatch, MomentStats, compute_moments
 
 __all__ = ["MemoryBank"]
 
@@ -76,9 +76,13 @@ class MemoryBank:
         """
         if len(self) < 2:
             raise InsufficientSamples(f"adaptation needs >= 2 stored entries, got {len(self)}")
-        current = self.as_batch()
-        transformed = xbn_transform(current, compute_moments(current), target_stats)
-        self._vectors = transformed.vectors
+        if target_stats.dim != self.dim:
+            raise DimensionMismatch(f"target stats dim {target_stats.dim} != bank dim {self.dim}")
+        source = compute_moments(self.as_batch())
+        # xbn_transform's map, applied to the stored array without re-wrapping
+        # it in a batch; the result is a new array, so state() handles stay valid.
+        scale = target_stats.std / source.std
+        self._vectors = (self._vectors - source.mean) * scale + target_stats.mean
 
     def reference_set(self, batch: EmbeddingBatch) -> EmbeddingBatch:
         """Bank entries (oldest first) concatenated with the batch rows.

@@ -196,3 +196,39 @@ def relative_grad_error(analytic, numeric) -> float:
     if denom == 0.0:
         return 0.0
     return float(np.linalg.norm(a - f) / denom)
+
+
+def index_list_contrastive(batch_vectors, batch_labels, ref_vectors, ref_labels,
+                           pos_margin, neg_margin, self_offset):
+    """The index-list form of the contrastive loss: (value, grad w.r.t. batch rows).
+
+    Pairs are argwhere lists over a freshly built distance matrix, hinges are
+    clipped per pair, and per-pair weights are scattered back with np.add.at.
+    The package's mask form must reproduce it bit for bit.
+    """
+    b = np.asarray(batch_vectors, dtype=np.float64)
+    r = np.asarray(ref_vectors, dtype=np.float64)
+    d = 1.0 - b @ r.T
+    n, m = d.shape
+    same = np.asarray(batch_labels)[:, None] == np.asarray(ref_labels)[None, :]
+    is_self = np.arange(m)[None, :] == np.arange(n)[:, None] + self_offset
+    pos = np.argwhere(same & (d > pos_margin) & ~is_self)
+    neg = np.argwhere(~same & (d < neg_margin))
+    weights = np.zeros_like(d)
+    value = 0.0
+    if len(pos):
+        pd = d[pos[:, 0], pos[:, 1]]
+        value += float(np.maximum(0.0, pd - pos_margin).mean())
+        active = pd > pos_margin
+        np.add.at(weights, (pos[active, 0], pos[active, 1]), 1.0 / len(pos))
+    if len(neg):
+        nd = d[neg[:, 0], neg[:, 1]]
+        value += float(np.maximum(0.0, neg_margin - nd).mean())
+        active = nd < neg_margin
+        np.add.at(weights, (neg[active, 0], neg[active, 1]), -1.0 / len(neg))
+    grad = -(weights @ r)
+    lo = max(self_offset, 0)
+    hi = min(self_offset + n, m)
+    if hi > lo:
+        grad[lo - self_offset : hi - self_offset] += -(weights[:, lo:hi].T @ b)
+    return value, grad

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from crossbatch import InvalidConfig, load_features
+from crossbatch import InvalidConfig, cli, load_features
 from crossbatch.cli import (
     OUT_ENV_VAR,
     _parse_int_tuple,
@@ -261,6 +261,29 @@ class TestSweep:
         assert by_status == {"6": "ok", "7": "failed"}
         failed = next(r for r in runs if r["status"] == "failed")
         assert "divisible" in failed["error"]
+        assert "failed:" in capsys.readouterr().out
+
+    def test_os_error_in_one_cell_keeps_the_others(self, tmp_path, data_file, monkeypatch, capsys):
+        real_run_one = cli._run_one
+
+        def flaky(settings, dataset, out_dir):
+            if settings["seed"] == 1:
+                raise OSError(f"[Errno 30] Read-only file system: '{out_dir}'")
+            return real_run_one(settings, dataset, out_dir)
+
+        monkeypatch.setattr(cli, "_run_one", flaky)
+        out = tmp_path / "sweep"
+        code = main([
+            "sweep", "--dataset", str(data_file), "--out", str(out), *FAST,
+            "--axis", "batch-size", "--values", "6",
+            "--variants", "xbm", "--seeds", "0,1,2", "--workers", "1",
+        ])
+        assert code == 1
+        runs = read_csv_rows(out / "sweep_runs.csv")
+        assert {r["seed"]: r["status"] for r in runs} == {"0": "ok", "1": "failed", "2": "ok"}
+        failed = next(r for r in runs if r["status"] == "failed")
+        assert "Read-only file system" in failed["error"]
+        assert read_csv_rows(out / "sweep_summary.csv")[0]["n_seeds"] == "2"
         assert "failed:" in capsys.readouterr().out
 
     def test_parallel_workers_match_row_count(self, tmp_path, data_file):

@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -217,6 +220,36 @@ class TestCheckpoint:
         path.write_bytes(blob[:-7])
         with pytest.raises(FormatError):
             load_checkpoint(path)
+
+    @staticmethod
+    def _header(dims):
+        return b"XBNC" + struct.pack("<HHI", 1, 1, len(dims)) + struct.pack(f"<{len(dims)}I", *dims)
+
+    def test_huge_claim_in_short_file_fails_without_allocating(self, tmp_path):
+        path = tmp_path / "huge.xbnc"
+        path.write_bytes(self._header((2000, 2000)))  # 20 bytes claiming 32 MB
+        assert path.stat().st_size == 20
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError):
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_u32_max_dims_is_format_error(self, tmp_path):
+        path = tmp_path / "max.xbnc"
+        path.write_bytes(self._header((2**32 - 1, 2**32 - 1)) + bytes(64))
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    def test_loaded_parameters_are_writable(self, tmp_path):
+        path = tmp_path / "net.xbnc"
+        save_checkpoint(tiny_net(seed=4), path)
+        loaded = load_checkpoint(path)
+        assert not loaded.frozen_below_last
+        assert all(a.flags.writeable for a in loaded.weights + loaded.biases)
 
     def test_trailing_bytes(self, tmp_path):
         net = tiny_net(seed=4)

@@ -9,6 +9,7 @@ from crossbatch import (
     MemoryBank,
     NotNormalized,
     PairMinerConfig,
+    ShapeMismatch,
     contrastive_loss,
     cosine_distance,
     distance_matrix,
@@ -16,10 +17,12 @@ from crossbatch import (
     triplet_loss,
     xbm_loss,
 )
+from crossbatch import losses
 from oracles import (
     brute_force_contrastive,
     brute_force_pairs,
     brute_force_triplet,
+    index_list_contrastive,
 )
 
 CFG = PairMinerConfig(pos_margin=0.2, neg_margin=0.8)
@@ -191,6 +194,143 @@ class TestContrastiveLoss:
         out = contrastive_loss(batch, ref, pairs, CFG)
         fd = batch_grad_fd(loss_at, batch.vectors)
         np.testing.assert_allclose(out.grad, fd, rtol=1e-4, atol=1e-8)
+
+
+def concat(*batches):
+    return EmbeddingBatch(
+        vectors=np.concatenate([b.vectors for b in batches]),
+        labels=np.concatenate([b.labels for b in batches]),
+    )
+
+
+def index_list_loss(batch, reference, offset, cfg=CFG):
+    return index_list_contrastive(
+        batch.vectors, batch.labels, reference.vectors, reference.labels,
+        cfg.pos_margin, cfg.neg_margin, offset,
+    )
+
+
+def assert_bit_equal(out, value, grad):
+    assert out.value == value
+    assert out.grad.shape == grad.shape
+    assert (out.grad == grad).all()
+    assert out.grad.tobytes() == grad.tobytes()
+
+
+class TestMaskLossMatchesIndexLists:
+    """The mask form of the loss reproduces the index-list form exactly."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("variant", ["no-xbm", "xbm", "xbm-star"])
+    def test_xbm_variants(self, seed, variant):
+        batch = unit_batch(8, 5, seed=seed)
+        bank = MemoryBank(capacity=12, dim=5)
+        bank.enqueue(unit_batch(12, 5, seed=seed + 100))
+        out = xbm_loss(batch, bank, CFG, variant)
+        parts = []
+        if variant in ("no-xbm", "xbm-star"):
+            parts.append(index_list_loss(batch, batch, 0))
+        if variant in ("xbm", "xbm-star"):
+            parts.append(index_list_loss(batch, concat(bank.as_batch(), batch), len(bank)))
+        value, grad = parts[0]
+        if len(parts) == 2:
+            value, grad = value + parts[1][0], grad + parts[1][1]
+        assert_bit_equal(out, value, grad)
+
+    @pytest.mark.parametrize("where", ["first", "after_bank", "past_reference"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_self_offsets(self, where, seed):
+        batch = unit_batch(6, 4, seed=seed)
+        extra = unit_batch(9, 4, seed=seed + 40)
+        reference, offset = {
+            "first": (concat(batch, extra), 0),
+            "after_bank": (concat(extra, batch), extra.n),
+            "past_reference": (extra, extra.n),  # batch rows are not in the reference
+        }[where]
+        out = contrastive_loss(batch, reference, mine_pairs(batch, reference, CFG, offset), CFG)
+        assert_bit_equal(out, *index_list_loss(batch, reference, offset))
+
+    def test_distances_exactly_on_the_margins(self):
+        # dyadic margins and coordinates make 1 - <a, b> exact, so two pairs
+        # sit exactly on a margin and must not be mined
+        cfg = PairMinerConfig(pos_margin=0.25, neg_margin=0.75)
+        vectors = np.array([
+            [1.0, 0.0, 0.0],
+            [0.75, np.sqrt(1 - 0.75**2), 0.0],  # same class, d = pos_margin
+            [0.25, 0.0, np.sqrt(1 - 0.25**2)],  # other class, d = neg_margin
+            [0.0, 1.0, 0.0],  # same class, d = 1: positive
+            [0.5, 0.0, np.sqrt(0.75)],  # other class, d = 0.5: negative
+        ])
+        batch = EmbeddingBatch(vectors=vectors, labels=np.array([0, 0, 1, 0, 1]))
+        pairs = mine_pairs(batch, batch, cfg, self_offset=0)
+        assert pairs.distances[0, 1] == cfg.pos_margin
+        assert pairs.distances[0, 2] == cfg.neg_margin
+        assert not pairs.pos_mask[0, 1] and not pairs.neg_mask[0, 2]
+        assert pairs.pos_mask[0, 3] and pairs.neg_mask[0, 4]
+        out = contrastive_loss(batch, batch, pairs, cfg)
+        assert_bit_equal(out, *index_list_loss(batch, batch, 0, cfg))
+
+    def test_empty_bank(self):
+        batch = unit_batch(7, 4, seed=60)
+        bank = MemoryBank(capacity=10, dim=4)
+        out = xbm_loss(batch, bank, CFG, "xbm")
+        assert_bit_equal(out, *index_list_loss(batch, batch, 0))
+
+    def test_negatives_only(self):
+        batch = unit_batch(6, 4, seed=61, n_classes=1)
+        batch = EmbeddingBatch(vectors=batch.vectors, labels=np.arange(6))  # all distinct
+        out = contrastive_loss(batch, batch, mine_pairs(batch, batch, CFG, 0), CFG)
+        value, grad = index_list_loss(batch, batch, 0)
+        assert value > 0.0
+        assert_bit_equal(out, value, grad)
+
+    def test_positives_only(self):
+        batch = unit_batch(6, 4, seed=62, n_classes=1)
+        out = contrastive_loss(batch, batch, mine_pairs(batch, batch, CFG, 0), CFG)
+        value, grad = index_list_loss(batch, batch, 0)
+        assert value > 0.0
+        assert_bit_equal(out, value, grad)
+
+
+class TestMinedPairsContract:
+    def test_index_views_are_row_major(self):
+        batch = unit_batch(6, 4, seed=70)
+        pairs = mine_pairs(batch, batch, CFG, self_offset=0)
+        for idx, mask in ((pairs.positives, pairs.pos_mask), (pairs.negatives, pairs.neg_mask)):
+            assert len(idx) == mask.sum()
+            assert [tuple(p) for p in idx] == sorted(map(tuple, idx))
+            assert mask[idx[:, 0], idx[:, 1]].all()
+
+    def test_pairs_from_another_reference_rejected(self):
+        batch = unit_batch(4, 3, seed=71)
+        reference = unit_batch(7, 3, seed=72)
+        pairs = mine_pairs(batch, reference, CFG, self_offset=7)
+        with pytest.raises(ShapeMismatch):
+            contrastive_loss(batch, batch, pairs, CFG)
+
+    def test_pairs_from_other_margins_rejected(self):
+        batch = unit_batch(4, 3, seed=73)
+        pairs = mine_pairs(batch, batch, CFG, self_offset=0)
+        with pytest.raises(InvalidConfig):
+            contrastive_loss(batch, batch, pairs, PairMinerConfig(pos_margin=0.1, neg_margin=0.9))
+
+
+class TestDistanceMatrixCalls:
+    @pytest.mark.parametrize("variant,calls", [("no-xbm", 1), ("xbm", 1), ("xbm-star", 2)])
+    def test_one_matrix_per_reference_set(self, monkeypatch, variant, calls):
+        count = []
+        real = losses.distance_matrix
+
+        def counting(*args):
+            count.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(losses, "distance_matrix", counting)
+        batch = unit_batch(6, 4, seed=80)
+        bank = MemoryBank(capacity=8, dim=4)
+        bank.enqueue(unit_batch(8, 4, seed=81))
+        xbm_loss(batch, bank, CFG, variant)
+        assert len(count) == calls
 
 
 class TestTripletLoss:

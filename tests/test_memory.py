@@ -11,6 +11,7 @@ from crossbatch import (
     MemoryBank,
     MomentStats,
     compute_moments,
+    xbn_transform,
 )
 from oracles import FifoList
 
@@ -117,6 +118,30 @@ class TestAdapt:
         bank.enqueue(batch_of(rows(1, 2)))
         with pytest.raises(InsufficientSamples):
             bank.adapt(MomentStats(mean=np.zeros(2), std=np.ones(2), count=2))
+
+    def test_matches_xbn_transform_bit_for_bit(self):
+        bank = self._filled()
+        rng = np.random.default_rng(6)
+        target = MomentStats(mean=rng.normal(size=4), std=rng.uniform(0.1, 2.0, size=4), count=12)
+        before = bank.as_batch()
+        want = xbn_transform(before, compute_moments(before), target)
+        bank.adapt(target)
+        np.testing.assert_array_equal(bank.vectors, want.vectors)
+        np.testing.assert_array_equal(bank.labels, want.labels)
+
+    def test_rebinds_instead_of_writing_in_place(self):
+        bank = self._filled()
+        vectors, labels = bank.state()
+        snapshot = vectors.copy()
+        bank.adapt(MomentStats(mean=np.ones(4), std=np.full(4, 3.0), count=12))
+        assert bank.vectors is not vectors
+        np.testing.assert_array_equal(vectors, snapshot)
+        assert bank.labels is labels
+
+    def test_target_dim_mismatch(self):
+        bank = self._filled()
+        with pytest.raises(DimensionMismatch):
+            bank.adapt(MomentStats(mean=np.zeros(3), std=np.ones(3), count=12))
 
 
 class TestReferenceSet:
