@@ -76,7 +76,6 @@ from .training import (
     TrainConfig,
     TrainingRun,
     TrainResult,
-    feature_drift,
     run_training,
     sample_pk_batches,
 )
@@ -141,7 +140,6 @@ __all__ = [
     "TrainingRun",
     "run_training",
     "sample_pk_batches",
-    "feature_drift",
     # errors
     "CrossbatchError",
     "InsufficientSamples",

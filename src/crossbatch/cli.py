@@ -15,46 +15,70 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 
 from .data import FeatureDataset, SyntheticConfig, generate_synthetic, load_features, save_features
-from .embedder import OptimizerConfig, load_checkpoint, save_checkpoint
+from .embedder import load_checkpoint, save_checkpoint
 from .errors import CrossbatchError, InvalidConfig
-from .kalman import KalmanConfig
-from .losses import PairMinerConfig
 from .moments import EmbeddingBatch
 from .retrieval import RetrievalProtocol, recall_at_k
-from .training import MethodVariant, TrainConfig, TrainResult, run_training
+from .training import VARIANTS, MethodVariant, TrainConfig, TrainResult, run_training
 
 __all__ = ["main", "entrypoint", "read_metrics", "read_csv_rows"]
 
 OUT_ENV_VAR = "CROSSBATCH_OUT"
 
-# Keys accepted in config files and as flags. Kalman keys apply to axbn only,
-# momentum to ema only; validation rejects anything else.
-_KALMAN_KEYS = ("q", "p0", "r", "gain_interval")
-_TRAIN_KEYS = (
-    "batch_size",
-    "samples_per_class",
-    "memory_fraction",
-    "memory_capacity",
-    "epochs",
-    "warmup_epochs",
-    "hidden_dims",
-    "embed_dim",
-    "lr",
-    "weight_decay",
-    "schedule_gamma",
-    "schedule_every",
-    "warmup_lr",
-    "pos_margin",
-    "neg_margin",
-    "recall_ks",
-    "probe_drift",
-    "momentum",
-) + _KALMAN_KEYS
+
+def _parse_int_tuple(text: str) -> tuple[int, ...]:
+    text = text.strip()
+    if not text:
+        return ()
+    try:
+        return tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise InvalidConfig(f"expected comma-separated integers, got {text!r}") from None
+
+
+def _parse_bool(text: str) -> bool:
+    if text.lower() in ("true", "1", "yes"):
+        return True
+    if text.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(text)
+
+
+# Every training setting, declared once: its config-file key (the flag is the
+# key with dashes), its TrainConfig attribute path and the parser of its text.
+# Defaults are TrainConfig()'s. kalman.* settings apply only to variants that
+# run the kalman filter.
+_SETTINGS = {
+    "batch_size": ("batch_size", int),
+    "samples_per_class": ("samples_per_class", int),
+    "memory_fraction": ("memory_fraction", float),
+    "memory_capacity": ("memory_capacity", int),
+    "epochs": ("epochs", int),
+    "warmup_epochs": ("warmup_epochs", int),
+    "hidden_dims": ("hidden_dims", _parse_int_tuple),
+    "embed_dim": ("embed_dim", int),
+    "lr": ("main_optimizer.learning_rate", float),
+    "weight_decay": ("main_optimizer.weight_decay", float),
+    "schedule_gamma": ("main_optimizer.schedule_gamma", float),
+    "schedule_every": ("main_optimizer.schedule_every", int),
+    "warmup_lr": ("warmup_optimizer.learning_rate", float),
+    "pos_margin": ("miner.pos_margin", float),
+    "neg_margin": ("miner.neg_margin", float),
+    "recall_ks": ("recall_ks", _parse_int_tuple),
+    "probe_drift": ("probe_drift", _parse_bool),
+    "seed": ("seed", int),
+    "q": ("kalman.q", float),
+    "p0": ("kalman.p0", float),
+    "r": ("kalman.r", float),
+    "gain_interval": ("kalman.gain_interval", int),
+}
 
 
 def default_out_root() -> Path:
@@ -71,142 +95,101 @@ def read_config_file(path) -> dict[str, str]:
         if "=" not in line:
             raise InvalidConfig(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _TRAIN_KEYS + ("variant", "seed", "dataset"):
+        if key not in (*_SETTINGS, "variant", "dataset"):
             raise InvalidConfig(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = value
     return values
 
 
-def _parse_int_tuple(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
+def _coerce(key: str, text: str):
+    parse = _SETTINGS[key][1]
     try:
-        return tuple(int(part) for part in text.split(","))
+        return parse(text)
     except ValueError:
-        raise InvalidConfig(f"expected comma-separated integers, got {text!r}") from None
+        kind = "a boolean" if parse is _parse_bool else "numeric"
+        raise InvalidConfig(f"{key} must be {kind}, got {text!r}") from None
+
+
+def _format(value) -> str:
+    """A setting's value as text its parser reads back exactly."""
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return str(value)
 
 
 def resolve_settings(args: argparse.Namespace) -> dict:
-    """Merge defaults, config file, and flags (flags win) into one flat dict."""
-    settings: dict = {
-        "batch_size": 16,
-        "samples_per_class": 4,
-        "memory_fraction": 0.5,
-        "memory_capacity": None,
-        "epochs": 25,
-        "warmup_epochs": 2,
-        "hidden_dims": "64,32",
-        "embed_dim": 16,
-        "lr": 1e-3,
-        "weight_decay": 0.0,
-        "schedule_gamma": 0.33,
-        "schedule_every": 15,
-        "warmup_lr": 1e-3,
-        "pos_margin": 0.2,
-        "neg_margin": 0.8,
-        "recall_ks": "1,10",
-        "probe_drift": True,
-        "momentum": None,
-        "q": None,
-        "p0": None,
-        "r": None,
-        "gain_interval": None,
-        "variant": None,
-        "seed": 0,
-        "dataset": None,
-    }
-    filled_by_flag: set[str] = set()
+    """Config file, then flags (flags win), parsed into one flat dict.
+
+    Settings given in neither map to None and keep TrainConfig()'s default.
+    """
+    settings = dict.fromkeys((*_SETTINGS, "variant", "dataset"))
     if getattr(args, "config", None):
-        file_values = read_config_file(args.config)
-        for key, text in file_values.items():
-            settings[key] = _coerce(key, text)
+        settings.update(read_config_file(args.config))
     for key in settings:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            settings[key] = flag_value
-            filled_by_flag.add(key)
-    settings["_flagged"] = filled_by_flag
+        if getattr(args, key, None) is not None:
+            settings[key] = getattr(args, key)
+    for key in _SETTINGS:
+        if settings[key] is not None:
+            settings[key] = _coerce(key, settings[key])
     return settings
 
 
-def _coerce(key: str, text: str):
-    if key in ("hidden_dims", "recall_ks", "variant", "dataset"):
-        return text
-    if key == "probe_drift":
-        if text.lower() in ("true", "1", "yes"):
-            return True
-        if text.lower() in ("false", "0", "no"):
-            return False
-        raise InvalidConfig(f"{key} must be a boolean, got {text!r}")
-    try:
-        if key in ("batch_size", "samples_per_class", "epochs", "warmup_epochs", "embed_dim",
-                   "schedule_every", "gain_interval", "memory_capacity", "seed"):
-            return int(text)
-        return float(text)
-    except ValueError:
-        raise InvalidConfig(f"{key} must be numeric, got {text!r}") from None
-
-
 def build_train_config(settings: dict) -> TrainConfig:
-    kalman_kwargs = {}
-    for key, name in (("q", "q"), ("p0", "p0"), ("r", "r"), ("gain_interval", "gain_interval")):
+    """TrainConfig() with the settings that are not None replaced."""
+    changes: dict[str, dict] = {}
+    for key, (path, _) in _SETTINGS.items():
         if settings.get(key) is not None:
-            kalman_kwargs[name] = settings[key]
-    return TrainConfig(
-        batch_size=int(settings["batch_size"]),
-        samples_per_class=int(settings["samples_per_class"]),
-        memory_fraction=settings["memory_fraction"],
-        memory_capacity=settings["memory_capacity"],
-        epochs=int(settings["epochs"]),
-        warmup_epochs=int(settings["warmup_epochs"]),
-        hidden_dims=_parse_int_tuple(str(settings["hidden_dims"])),
-        embed_dim=int(settings["embed_dim"]),
-        warmup_optimizer=OptimizerConfig(kind="sgd", learning_rate=float(settings["warmup_lr"])),
-        main_optimizer=OptimizerConfig(
-            kind="adamw",
-            learning_rate=float(settings["lr"]),
-            weight_decay=float(settings["weight_decay"]),
-            schedule_gamma=float(settings["schedule_gamma"]),
-            schedule_every=int(settings["schedule_every"]),
-        ),
-        kalman=KalmanConfig(**kalman_kwargs),
-        miner=PairMinerConfig(
-            pos_margin=float(settings["pos_margin"]), neg_margin=float(settings["neg_margin"])
-        ),
-        probe_drift=bool(settings["probe_drift"]),
-        recall_ks=_parse_int_tuple(str(settings["recall_ks"])),
-        seed=int(settings["seed"]),
-    )
+            section, _, attr = path.rpartition(".")
+            changes.setdefault(section, {})[attr] = settings[key]
+    config = TrainConfig()
+    nested = {name: replace(getattr(config, name), **kw) for name, kw in changes.items() if name}
+    return replace(config, **changes.get("", {}), **nested)
+
+
+def _applies(key: str, variant: MethodVariant) -> bool:
+    """kalman.* settings apply only to variants whose filter is the kalman filter."""
+    return not _SETTINGS[key][0].startswith("kalman.") or variant.stats_filter == "kalman"
 
 
 def build_variant(settings: dict) -> MethodVariant:
     name = settings.get("variant")
     if not name:
         raise InvalidConfig("no variant selected (use --variant)")
-    kalman_flags = [k for k in _KALMAN_KEYS if settings.get(k) is not None]
-    if name != "axbn" and kalman_flags:
+    variant = MethodVariant.parse(name)
+    stray = [k for k in _SETTINGS if settings.get(k) is not None and not _applies(k, variant)]
+    if stray:
+        owners = " or ".join(kind for kind, row in VARIANTS.items() if row[1] == "kalman")
         raise InvalidConfig(
-            f"{', '.join(kalman_flags)} appl{'ies' if len(kalman_flags) == 1 else 'y'} "
-            f"only to the axbn variant, not {name!r}"
+            f"{', '.join(stray)} appl{'ies' if len(stray) == 1 else 'y'} "
+            f"only to the {owners} variant, not {name!r}"
         )
-    if name != "ema" and settings.get("momentum") is not None:
-        raise InvalidConfig(f"momentum applies only to the ema variant, not {name!r}")
-    if name == "ema":
-        momentum = settings.get("momentum")
-        if momentum is None:
-            raise InvalidConfig("the ema variant requires --momentum")
-        return MethodVariant("ema", momentum=float(momentum))
-    return MethodVariant.parse(name)
+    return variant
 
 
-def _echo_config(settings: dict, config: TrainConfig, variant: MethodVariant, path: Path) -> None:
-    lines = [f"variant = {variant}"]
-    for key in sorted(k for k in settings if not k.startswith("_") and k != "variant"):
-        value = settings[key]
-        if value is None:
-            continue
-        lines.append(f"{key} = {value}")
+def _for_variant(settings: dict, variant: MethodVariant) -> dict:
+    """One variant's copy of settings shared by several runs.
+
+    Mixed-variant grids share one flag set; filter knobs passed for the
+    adaptive variant must not invalidate the others' runs.
+    """
+    cell = {k: None if k in _SETTINGS and not _applies(k, variant) else v
+            for k, v in settings.items()}
+    cell["variant"] = variant.spec
+    return cell
+
+
+def _run_dir(root: Path, variant: MethodVariant, settings: dict) -> Path:
+    """<root>/<variant>/<seed>, the output directory of every training run."""
+    return root / str(variant) / str(build_train_config(settings).seed)
+
+
+def _echo_config(config: TrainConfig, variant: MethodVariant, dataset, path: Path) -> None:
+    """The resolved settings, as a config file that replays the run."""
+    lines = [f"variant = {variant.spec}", f"dataset = {dataset}"]
+    for key, (attr_path, _) in _SETTINGS.items():
+        value = reduce(getattr, attr_path.split("."), config)
+        if value is not None and _applies(key, variant):
+            lines.append(f"{key} = {_format(value)}")
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -246,25 +229,11 @@ def _summary_row(result: TrainResult, seed: int) -> dict:
     return row
 
 
-def _scrub_variant_keys(cell: dict) -> None:
-    """Drop variant-specific keys that do not apply to this cell's variant.
-
-    Mixed-variant grids share one flag set; filter knobs passed for the
-    adaptive variant must not invalidate the others' cells.
-    """
-    kind = str(cell.get("variant") or "").split(":", 1)[0]
-    if kind != "axbn":
-        for key in _KALMAN_KEYS:
-            cell[key] = None
-    if kind != "ema":
-        cell["momentum"] = None
-
-
 def _run_one(settings: dict, dataset: FeatureDataset, out_dir: Path) -> TrainResult:
     config = build_train_config(settings)
     variant = build_variant(settings)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _echo_config(settings, config, variant, out_dir / "config.txt")
+    _echo_config(config, variant, settings["dataset"], out_dir / "config.txt")
     result = run_training(config, dataset, variant)
     write_metrics(result, out_dir / "metrics.jsonl")
     _write_csv(
@@ -287,10 +256,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     settings = resolve_settings(args)
     dataset = _load_dataset(settings)
     variant = build_variant(settings)
-    out_dir = Path(args.out or default_out_root()) / str(variant) / str(settings["seed"])
+    out_dir = _run_dir(Path(args.out or default_out_root()), variant, settings)
     result = _run_one(settings, dataset, out_dir)
     best = ", ".join(f"R@{k}={v:.4f}" for k, v in sorted(result.best_recall.items()))
-    print(f"{variant} seed {settings['seed']}: best epoch {result.best_epoch}, {best}")
+    print(f"{variant} seed {result.config.seed}: best epoch {result.best_epoch}, {best}")
     print(f"outputs in {out_dir}")
     return 0
 
@@ -337,31 +306,24 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise InvalidConfig(
             f"sweep values and seeds must be numeric, got {args.values!r} / {args.seeds!r}"
         ) from None
-    variants = args.variants.split(",")
+    variants = [MethodVariant.parse(name) for name in args.variants.split(",")]
     if not values or not variants or not seeds:
         raise InvalidConfig("sweep needs at least one value, variant, and seed")
     out_root = Path(args.out or default_out_root())
-    ks = _parse_int_tuple(str(settings["recall_ks"]))
+    ks = build_train_config(settings).recall_ks
 
     cells = []
     for value in values:
         for variant in variants:
             for seed in seeds:
-                cell = dict(settings)
-                cell.pop("_flagged", None)
+                cell = _for_variant(settings, variant)
                 cell[axis_key] = value
                 if axis_key == "memory_fraction":
                     cell["memory_capacity"] = None  # the swept fraction must win
-                cell["variant"] = variant
                 cell["seed"] = seed
-                _scrub_variant_keys(cell)
+                out_dir = _run_dir(out_root / f"{args.axis}-{value:g}", variant, cell)
                 cells.append(
-                    {
-                        "settings": cell,
-                        "axis": args.axis,
-                        "axis_value": value,
-                        "out_dir": str(out_root / f"{args.axis}-{value:g}" / variant / str(seed)),
-                    }
+                    {"settings": cell, "axis": args.axis, "axis_value": value, "out_dir": str(out_dir)}
                 )
 
     if args.workers > 1:
@@ -381,9 +343,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             ok = [
                 r
                 for r in rows
-                if r["axis_value"] == value and r["variant"] == variant and r["status"] == "ok"
+                if r["axis_value"] == value and r["variant"] == variant.spec and r["status"] == "ok"
             ]
-            agg = {"axis": args.axis, "axis_value": value, "variant": variant, "n_seeds": len(ok)}
+            agg = {"axis": args.axis, "axis_value": value, "variant": variant.spec, "n_seeds": len(ok)}
             for k in ks:
                 vals = np.array([float(r[f"r_at_{k}"]) for r in ok], dtype=np.float64)
                 agg[f"mean_r_at_{k}"] = vals.mean() if len(vals) else ""
@@ -408,16 +370,14 @@ def cmd_drift(args: argparse.Namespace) -> int:
     dataset = _load_dataset(settings)
     out_root = Path(args.out or default_out_root())
     rows = []
-    for name in args.variants.split(","):
-        cell = dict(settings)
-        cell["variant"] = name
-        _scrub_variant_keys(cell)
-        result = _run_one(cell, dataset, out_root / name / str(settings["seed"]))
+    for variant in [MethodVariant.parse(name) for name in args.variants.split(",")]:
+        cell = _for_variant(settings, variant)
+        result = _run_one(cell, dataset, _run_dir(out_root, variant, cell))
         for record in result.epoch_records:
             rows.append(
                 {
                     "epoch": record.epoch,
-                    "variant": name,
+                    "variant": variant.spec,
                     "mean_drift": record.mean_drift,
                     "max_drift": record.max_drift,
                     "val_r_at_1": record.recall.get(1, ""),
@@ -484,30 +444,14 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--dataset", help="XBNF feature file")
     p.add_argument("--out", help=f"output root (default ${OUT_ENV_VAR} or ./runs)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--samples-per-class", dest="samples_per_class", type=int)
-    p.add_argument("--memory-fraction", dest="memory_fraction", type=float)
-    p.add_argument("--memory-capacity", dest="memory_capacity", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--warmup-epochs", dest="warmup_epochs", type=int)
-    p.add_argument("--hidden-dims", dest="hidden_dims", help="comma-separated, e.g. 64,32")
-    p.add_argument("--embed-dim", dest="embed_dim", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--warmup-lr", dest="warmup_lr", type=float)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float)
-    p.add_argument("--schedule-gamma", dest="schedule_gamma", type=float)
-    p.add_argument("--schedule-every", dest="schedule_every", type=int)
-    p.add_argument("--pos-margin", dest="pos_margin", type=float)
-    p.add_argument("--neg-margin", dest="neg_margin", type=float)
-    p.add_argument("--recall-ks", dest="recall_ks", help="comma-separated, e.g. 1,10")
-    p.add_argument("--no-drift", dest="probe_drift", action="store_const", const=False)
-    p.add_argument("--q", type=float, help="process noise (axbn only)")
-    p.add_argument("--p0", type=float, help="initial estimation variance (axbn only)")
-    p.add_argument("--r", type=float, help="base measurement noise (axbn only)")
-    p.add_argument("--gain-interval", dest="gain_interval", type=int,
-                   help="steps between gain updates (axbn only)")
-    p.add_argument("--momentum", type=float, help="ema momentum (ema only)")
+    defaults = TrainConfig()
+    for key, (path, _) in _SETTINGS.items():
+        default = reduce(getattr, path.split("."), defaults)
+        text = f"TrainConfig.{path}, default {'unset' if default is None else _format(default)}"
+        if key == "probe_drift":
+            p.add_argument("--no-drift", dest=key, action="store_const", const="false", help=text)
+        else:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -516,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="one training run")
     _add_run_flags(p_train)
-    p_train.add_argument("--variant", required=False)
+    p_train.add_argument("--variant", help=f"one of {', '.join(VARIANTS)}; ema is spelled ema:M")
     p_train.set_defaults(func=cmd_train)
 
     p_sweep = sub.add_parser("sweep", help="grid of runs over one axis x variants x seeds")
@@ -536,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--dataset", required=True)
-    p_eval.add_argument("--recall-ks", dest="recall_ks", default="1,10")
+    p_eval.add_argument("--recall-ks", dest="recall_ks", default=_format(TrainConfig().recall_ks))
     p_eval.set_defaults(func=cmd_eval)
 
     p_gen = sub.add_parser("gen-data", help="generate a synthetic clustered dataset")

@@ -84,11 +84,25 @@ def kalman_init(first_obs: MomentStats, config: KalmanConfig) -> KalmanState:
 
 
 def _innovation(estimate: np.ndarray, observed: np.ndarray, gain: float) -> np.ndarray:
-    # gain 1 must reproduce the observation exactly, not up to rounding:
-    # the zero-measurement-noise reduction is asserted bit-for-bit downstream.
+    # gain 1 must reproduce the observation exactly, not up to rounding: xbn
+    # runs as the ema filter at momentum 0 through this path, and the
+    # zero-measurement-noise reduction is asserted bit-for-bit downstream.
     if gain == 1.0:
         return observed.copy()
     return estimate + gain * (observed - estimate)
+
+
+def _advance(state: KalmanState, obs: MomentStats, gain: float, p: float) -> KalmanState:
+    """The next state: both estimates moved by one innovation at this gain."""
+    if obs.dim != state.dim:
+        raise DimensionMismatch(f"observation dim {obs.dim} != state dim {state.dim}")
+    return KalmanState(
+        mean_est=_innovation(state.mean_est, obs.mean, gain),
+        std_est=np.maximum(EPS_STD, _innovation(state.std_est, obs.std, gain)),
+        p=p,
+        gain=gain,
+        step=state.step + 1,
+    )
 
 
 def kalman_step(
@@ -102,23 +116,13 @@ def kalman_step(
     updates run every step; std estimates stay floored at EPS_STD.
     """
     config.validate()
-    if obs.dim != state.dim:
-        raise DimensionMismatch(f"observation dim {obs.dim} != state dim {state.dim}")
     if batch_size < 1:
         raise InvalidConfig(f"batch_size must be >= 1, got {batch_size}")
     if state.step % config.gain_interval == 0:
         p_pred = state.p + config.q
         gain = p_pred / (p_pred + config.r / batch_size)
-        p = (1.0 - gain) * p_pred
-    else:
-        gain, p = state.gain, state.p
-    return KalmanState(
-        mean_est=_innovation(state.mean_est, obs.mean, gain),
-        std_est=np.maximum(EPS_STD, _innovation(state.std_est, obs.std, gain)),
-        p=p,
-        gain=gain,
-        step=state.step + 1,
-    )
+        return _advance(state, obs, gain, (1.0 - gain) * p_pred)
+    return _advance(state, obs, state.gain, state.p)
 
 
 def ema_step(state: KalmanState, obs: MomentStats, momentum: float) -> KalmanState:
@@ -129,16 +133,7 @@ def ema_step(state: KalmanState, obs: MomentStats, momentum: float) -> KalmanSta
     """
     if not 0.0 <= momentum <= 1.0:
         raise InvalidConfig(f"momentum must be in [0, 1], got {momentum}")
-    if obs.dim != state.dim:
-        raise DimensionMismatch(f"observation dim {obs.dim} != state dim {state.dim}")
-    gain = 1.0 - momentum
-    return KalmanState(
-        mean_est=_innovation(state.mean_est, obs.mean, gain),
-        std_est=np.maximum(EPS_STD, _innovation(state.std_est, obs.std, gain)),
-        p=state.p,
-        gain=gain,
-        step=state.step + 1,
-    )
+    return _advance(state, obs, 1.0 - momentum, state.p)
 
 
 def steady_state_gain(config: KalmanConfig, batch_size: int) -> float:

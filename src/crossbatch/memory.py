@@ -1,8 +1,7 @@
 """Bounded FIFO memory of embeddings with in-place statistical adaptation.
 
 The bank stores plain detached numbers: nothing here carries gradient
-linkage. Exactly one training loop owns and mutates a bank; snapshots taken
-for diagnostics must not race mutation.
+linkage. Exactly one training loop owns and mutates a bank.
 """
 
 from __future__ import annotations
@@ -31,13 +30,6 @@ class MemoryBank:
         self.dim = int(dim)
         self._vectors = np.empty((0, dim), dtype=np.float64)
         self._labels = np.empty((0,), dtype=np.int64)
-
-    @classmethod
-    def with_fraction(cls, fraction: float, train_size: int, dim: int) -> "MemoryBank":
-        """Capacity given as a fraction of the training-set size, resolved now."""
-        if not 0.0 <= fraction <= 1.0:
-            raise InvalidConfig(f"memory fraction must be in [0, 1], got {fraction}")
-        return cls(int(round(fraction * train_size)), dim)
 
     def __len__(self) -> int:
         return self._vectors.shape[0]
@@ -112,7 +104,3 @@ class MemoryBank:
 
     def restore(self, state: tuple) -> None:
         self._vectors, self._labels = state
-
-    def snapshot(self) -> EmbeddingBatch:
-        """Detached copy of the contents, e.g. for serialization or inspection."""
-        return EmbeddingBatch(vectors=self._vectors.copy(), labels=self._labels.copy())

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import TAG_TRAIN, TAG_VAL_GALLERY, TAG_VAL_QUERY, FeatureDataset
+from .data import TAG_VAL_GALLERY, TAG_VAL_QUERY, FeatureDataset
 from .embedder import MLPEmbedder, Optimizer, OptimizerConfig
 from .errors import InvalidConfig, NonFiniteLoss
 from .kalman import KalmanConfig, ema_step, kalman_init, kalman_step
@@ -23,48 +23,51 @@ from .moments import EmbeddingBatch, compute_moments
 from .retrieval import RetrievalProtocol, recall_at_k
 
 __all__ = [
-    "VARIANT_KINDS",
+    "VARIANTS",
     "MethodVariant",
     "TrainConfig",
     "IterationRecord",
     "EpochRecord",
     "TrainResult",
     "sample_pk_batches",
-    "feature_drift",
     "TrainingRun",
     "run_training",
 ]
 
-VARIANT_KINDS = ("no-xbm", "xbm", "xbm-star", "xbn", "axbn", "ema")
-
-# Which reference-set flavor the loss uses per variant; the adaptive variants
-# share the memory-backed loss and differ only in how the bank is adapted.
-_LOSS_KIND = {
-    "no-xbm": "no-xbm",
-    "xbm": "xbm",
-    "xbm-star": "xbm-star",
-    "xbn": "xbm",
-    "axbn": "xbm",
-    "ema": "xbm",
+# One row per variant: the reference set xbm_loss ranks the batch against,
+# and the statistics filter whose estimate the bank is moment-matched to before
+# the loss (None leaves the bank as stored). xbn is the ema filter at momentum
+# 0, whose gain-1 innovation copies the batch moments exactly.
+VARIANTS = {
+    "no-xbm": ("no-xbm", None),
+    "xbm": ("xbm", None),
+    "xbm-star": ("xbm-star", None),
+    "xbn": ("xbm", "ema"),
+    "axbn": ("xbm", "kalman"),
+    "ema": ("xbm", "ema"),
 }
 
 
 @dataclass(frozen=True)
 class MethodVariant:
-    """One of: no-xbm, xbm, xbm-star, xbn, axbn, ema (with momentum)."""
+    """A row of VARIANTS; only ema takes a momentum (spelled "ema:M")."""
 
     kind: str
     momentum: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in VARIANT_KINDS:
-            raise InvalidConfig(f"variant must be one of {VARIANT_KINDS}, got {self.kind!r}")
+        if self.kind not in VARIANTS:
+            raise InvalidConfig(f"variant must be one of {tuple(VARIANTS)}, got {self.kind!r}")
         if self.kind == "ema" and not 0.0 <= self.momentum <= 1.0:
             raise InvalidConfig(f"ema momentum must be in [0, 1], got {self.momentum}")
+        if self.kind != "ema" and self.momentum != 0.0:
+            raise InvalidConfig(f"momentum applies only to the ema variant, not {self.kind!r}")
 
     @classmethod
     def parse(cls, text: str) -> "MethodVariant":
-        """Parse "xbn", "axbn", ..., or "ema:0.5"."""
+        """Parse "xbn", "axbn", ..., or "ema:0.5"; the inverse of spec."""
+        if text == "ema":
+            raise InvalidConfig("the ema variant requires a momentum, e.g. ema:0.9")
         if text.startswith("ema:"):
             try:
                 momentum = float(text.split(":", 1)[1])
@@ -74,14 +77,24 @@ class MethodVariant:
         return cls(text)
 
     @property
-    def uses_memory(self) -> bool:
-        return self.kind != "no-xbm"
+    def spec(self) -> str:
+        """The spelling parse() reads back exactly."""
+        return f"ema:{self.momentum!r}" if self.kind == "ema" else self.kind
 
     @property
-    def adapts(self) -> bool:
-        return self.kind in ("xbn", "axbn", "ema")
+    def reference(self) -> str:
+        return VARIANTS[self.kind][0]
+
+    @property
+    def stats_filter(self) -> str | None:
+        return VARIANTS[self.kind][1]
+
+    @property
+    def uses_memory(self) -> bool:
+        return self.reference != "no-xbm"
 
     def __str__(self) -> str:
+        """Name of the run directory and of the summary's variant column."""
         if self.kind == "ema":
             return f"ema{self.momentum:g}"
         return self.kind
@@ -150,7 +163,7 @@ class IterationRecord:
     stage: str  # "warmup" or "main"
     loss: float
     lr: float
-    gain: float | None = None  # filter gain, adaptive variants only
+    gain: float | None = None  # filter gain, filtered variants only (xbn: 1.0)
     drift_mean: float | None = None
     drift_max: float | None = None
 
@@ -238,18 +251,6 @@ def sample_pk_batches(labels, batch_size: int, samples_per_class: int, seed) -> 
     return batches
 
 
-def feature_drift(
-    embedder_now: MLPEmbedder, embedder_prev: MLPEmbedder, probe_inputs: np.ndarray
-) -> tuple[float, float]:
-    """Mean and max L2 displacement of probe embeddings between two parameter sets.
-
-    On unit-norm embeddings the displacement is bounded by 2.
-    """
-    delta = embedder_now.embed(probe_inputs) - embedder_prev.embed(probe_inputs)
-    dists = np.linalg.norm(delta, axis=1)
-    return float(dists.mean()), float(dists.max())
-
-
 class TrainingRun:
     """Stateful driver for one (config, dataset, variant) training run.
 
@@ -313,41 +314,34 @@ class TrainingRun:
     def train_step(self, batch_indices: np.ndarray) -> IterationRecord:
         """One optimizer step on the given train-row indices.
 
-        Order: embed; (adaptive variants) observe batch stats, advance the
-        filter, adapt the bank; compute the loss against bank + batch; backprop
-        and update; then enqueue the batch for later iterations. If the step
-        fails, bank and filter state are rolled back so the run state is as
-        before the call.
+        Order: embed; (filtered variants) observe batch stats, advance the
+        filter, adapt the bank to its estimate; compute the loss against the
+        variant's reference set; backprop and update; then enqueue the batch
+        for later iterations. Warmup steps run as no-xbm. If the step fails,
+        bank and filter state are rolled back so the run state is as before
+        the call.
         """
         config = self.config
         z, cache = self.embedder.forward(self.train_features[batch_indices])
         batch = EmbeddingBatch(vectors=z, labels=self.train_labels[batch_indices])
         in_main = self.stage == "main"
-        kind = self.variant.kind if in_main else "no-xbm"
+        reference, stats_filter = VARIANTS[self.variant.kind if in_main else "no-xbm"]
         gain_val = None
         saved_bank = self.bank.state()
         saved_kalman = self.kalman_state
         try:
-            if kind in ("xbn", "axbn", "ema"):
+            if stats_filter is not None:
                 obs = compute_moments(batch)
-                if kind == "xbn":
-                    target = obs
+                if self.kalman_state is None:
+                    self.kalman_state = kalman_init(obs, config.kalman)
+                if stats_filter == "kalman":
+                    self.kalman_state = kalman_step(self.kalman_state, obs, batch.n, config.kalman)
                 else:
-                    if self.kalman_state is None:
-                        self.kalman_state = kalman_init(obs, config.kalman)
-                    if kind == "axbn":
-                        self.kalman_state = kalman_step(
-                            self.kalman_state, obs, batch.n, config.kalman
-                        )
-                    else:
-                        self.kalman_state = ema_step(
-                            self.kalman_state, obs, self.variant.momentum
-                        )
-                    target = self.kalman_state.to_stats(batch.n)
-                    gain_val = self.kalman_state.gain
+                    self.kalman_state = ema_step(self.kalman_state, obs, self.variant.momentum)
+                gain_val = self.kalman_state.gain
                 if len(self.bank) >= 2:
-                    self.bank.adapt(target)
-            out = xbm_loss(batch, self.bank, config.miner, _LOSS_KIND[kind])
+                    self.bank.adapt(self.kalman_state.to_stats(batch.n))
+            out = xbm_loss(batch, self.bank, config.miner, reference)
             if not np.isfinite(out.value):
                 raise NonFiniteLoss("non-finite loss", self.global_step)
             grads = self.embedder.backward(cache, out.grad)

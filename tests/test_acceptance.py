@@ -465,6 +465,7 @@ def _mean_std(results, batch_size, kind):
     return float(vals.mean()), float(vals.std())
 
 
+@pytest.mark.slow
 def test_a6_desk_scale_ordering(desk_matrix, capsys):
     results, slowest = desk_matrix
     mean = {}
@@ -489,6 +490,7 @@ def test_a6_desk_scale_ordering(desk_matrix, capsys):
     )
 
 
+@pytest.mark.slow
 def test_a7_drift_advantage(desk_matrix, capsys):
     results, _ = desk_matrix
     curves = {}
@@ -509,6 +511,7 @@ def test_a7_drift_advantage(desk_matrix, capsys):
     )
 
 
+@pytest.mark.slow
 def test_a8_batch_size_sweep(desk_matrix, capsys):
     results, _ = desk_matrix
     gaps = {}

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
-from crossbatch import InvalidConfig, cli, load_features
+from crossbatch import InvalidConfig, MethodVariant, TrainConfig, cli, load_features
 from crossbatch.cli import (
     OUT_ENV_VAR,
     _parse_int_tuple,
+    build_parser,
+    build_train_config,
     default_out_root,
     main,
     read_config_file,
     read_csv_rows,
     read_metrics,
+    resolve_settings,
 )
 
 # small but non-degenerate: 6 train + 3 val classes, 6 rows each, dim 8
@@ -86,6 +89,46 @@ class TestConfigFile:
         assert "seed = 7" in echoed  # file value stands, no flag given
 
 
+class TestSettingsTable:
+    def test_defaults_are_train_config(self):
+        args = build_parser().parse_args(["train"])
+        assert build_train_config(resolve_settings(args)) == TrainConfig()
+
+    def test_help_lists_every_setting(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["train", "--help"])
+        text = capsys.readouterr().out
+        for key in cli._SETTINGS:
+            flag = "--no-drift" if key == "probe_drift" else "--" + key.replace("_", "-")
+            assert flag in text, key
+
+    def test_momentum_flag_removed(self, tmp_path, data_file):
+        with pytest.raises(SystemExit) as exc:  # ema takes its momentum as ema:M
+            main(train_argv(data_file, tmp_path, "--variant", "ema:0.3", "--momentum", "0.5"))
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "variant,extra",
+        [
+            ("no-xbm", ()),
+            ("xbm", ("--memory-capacity", "12")),
+            ("xbm-star", ()),
+            ("xbn", ("--no-drift",)),
+            ("axbn", ("--r", "0.02")),
+            ("ema:0.3", ()),
+        ],
+    )
+    def test_echoed_config_replays_the_run(self, tmp_path, data_file, variant, extra):
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert main(train_argv(data_file, out_a, "--variant", variant, "--seed", "2", *extra)) == 0
+        run_a = out_a / str(MethodVariant.parse(variant)) / "2"
+        assert main(["train", "--config", str(run_a / "config.txt"), "--out", str(out_b)]) == 0
+        run_b = out_b / run_a.relative_to(out_a)
+        assert (run_b / "config.txt").read_text() == (run_a / "config.txt").read_text()
+        for name in ("checkpoint.xbnc", "metrics.jsonl", "summary.csv"):
+            assert (run_b / name).read_bytes() == (run_a / name).read_bytes(), name
+
+
 class TestParseHelpers:
     def test_parse_int_tuple(self):
         assert _parse_int_tuple("64,32") == (64, 32)
@@ -142,7 +185,22 @@ class TestTrain:
 
     def test_ema_directory_carries_momentum(self, tmp_path, data_file):
         out = tmp_path / "out"
-        code = main(train_argv(data_file, out, "--variant", "ema", "--momentum", "0.3"))
+        code = main(train_argv(data_file, out, "--variant", "ema:0.3"))
+        assert code == 0
+        assert (out / "ema0.3" / "0" / "summary.csv").is_file()
+
+    def test_sweep_directory_carries_momentum(self, tmp_path, data_file):
+        out = tmp_path / "out"
+        code = main(["sweep", "--dataset", str(data_file), "--out", str(out), *FAST,
+                     "--axis", "batch-size", "--values", "6",
+                     "--variants", "ema:0.3", "--seeds", "0"])
+        assert code == 0
+        assert (out / "batch-size-6" / "ema0.3" / "0" / "summary.csv").is_file()
+
+    def test_drift_directory_carries_momentum(self, tmp_path, data_file):
+        out = tmp_path / "out"
+        code = main(["drift", "--dataset", str(data_file), "--out", str(out), *FAST,
+                     "--variants", "ema:0.3"])
         assert code == 0
         assert (out / "ema0.3" / "0" / "summary.csv").is_file()
 
@@ -153,8 +211,8 @@ class TestFlagValidation:
         [
             ((), "no variant selected"),
             (("--variant", "xbn", "--r", "0.5"), "only to the axbn variant"),
-            (("--variant", "xbm", "--momentum", "0.5"), "only to the ema variant"),
-            (("--variant", "ema"), "requires --momentum"),
+            (("--variant", "ema:1.5"), "ema momentum must be in"),
+            (("--variant", "ema"), "requires a momentum"),
             (("--variant", "ema:abc"), "bad ema momentum"),
             (("--variant", "banana"), "variant must be one of"),
         ],

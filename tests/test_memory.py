@@ -64,12 +64,6 @@ class TestEnqueue:
         with pytest.raises(InvalidConfig):
             MemoryBank(capacity=-1, dim=2)
 
-    def test_with_fraction(self):
-        assert MemoryBank.with_fraction(0.5, train_size=101, dim=4).capacity == 50
-        assert MemoryBank.with_fraction(1.0, train_size=7, dim=4).capacity == 7
-        with pytest.raises(InvalidConfig):
-            MemoryBank.with_fraction(1.5, train_size=10, dim=4)
-
 
 class TestAdapt:
     def _filled(self, n=12, d=4, seed=3):

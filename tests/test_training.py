@@ -8,14 +8,13 @@ from crossbatch import (
     FeatureDataset,
     InvalidConfig,
     KalmanConfig,
-    MLPEmbedder,
     MethodVariant,
     NonFiniteLoss,
     SyntheticConfig,
     TrainConfig,
+    OptimizerConfig,
     TrainingRun,
     compute_moments,
-    feature_drift,
     generate_synthetic,
     run_training,
     sample_pk_batches,
@@ -55,18 +54,27 @@ class TestMethodVariant:
         assert str(v) == "ema0.25"
         assert MethodVariant.parse("xbn") == MethodVariant("xbn")
         assert str(MethodVariant("xbm-star")) == "xbm-star"
+        for variant in (v, MethodVariant("axbn"), MethodVariant("ema", momentum=0.1 + 0.2)):
+            assert MethodVariant.parse(variant.spec) == variant
 
     def test_invalid(self):
         with pytest.raises(InvalidConfig):
             MethodVariant("banana")
         with pytest.raises(InvalidConfig):
             MethodVariant("ema", momentum=1.5)
+        with pytest.raises(InvalidConfig, match="only to the ema variant"):
+            MethodVariant("xbn", momentum=0.5)
+        with pytest.raises(InvalidConfig, match="requires a momentum"):
+            MethodVariant.parse("ema")
 
     def test_flags(self):
         assert not MethodVariant("no-xbm").uses_memory
         assert MethodVariant("xbm").uses_memory
-        assert not MethodVariant("xbm").adapts
-        assert MethodVariant("axbn").adapts and MethodVariant("axbn").uses_memory
+        assert MethodVariant("xbm").stats_filter is None
+        assert MethodVariant("xbm-star").reference == "xbm-star"
+        assert MethodVariant("xbn").stats_filter == "ema"  # at momentum 0
+        assert MethodVariant("axbn").stats_filter == "kalman"
+        assert MethodVariant("axbn").reference == "xbm"
 
 
 class TestTrainConfig:
@@ -133,29 +141,40 @@ class TestSamplePkBatches:
 
 
 class TestFeatureDrift:
-    def test_identical_embedders(self):
-        net = MLPEmbedder((4, 3), seed=0)
-        probe = np.random.default_rng(0).normal(size=(5, 4))
-        assert feature_drift(net, net.clone(), probe) == (0.0, 0.0)
+    """The per-step drift probe: displacement of the probe rows' embeddings."""
 
-    def test_bounded_by_two_on_unit_sphere(self):
-        a = MLPEmbedder((4, 3), seed=1)
-        b = MLPEmbedder((4, 3), seed=2)
-        probe = np.random.default_rng(1).normal(size=(20, 4))
-        mean_d, max_d = feature_drift(a, b, probe)
-        assert 0.0 <= mean_d <= max_d <= 2.0 + 1e-12
+    def test_identical_embedders(self, dataset, monkeypatch):
+        import crossbatch.training as training_module
 
-    def test_matches_manual_computation(self):
-        a = MLPEmbedder((4, 3), seed=3)
-        b = MLPEmbedder((4, 3), seed=4)
-        probe = np.random.default_rng(2).normal(size=(7, 4))
-        mean_d, max_d = feature_drift(a, b, probe)
+        def flat(batch, bank, cfg, kind):  # zero gradient: AdamW leaves every weight as is
+            return LossOutput(value=0.0, grad=np.zeros_like(batch.vectors))
+
+        monkeypatch.setattr(training_module, "xbm_loss", flat)
+        run = TrainingRun(small_config(warmup_epochs=0), dataset, MethodVariant("xbm"))
+        record = run.train_step(run.epoch_batches()[0])
+        assert (record.drift_mean, record.drift_max) == (0.0, 0.0)
+
+    def test_bounded_by_two_on_unit_sphere(self, dataset):
+        big_steps = OptimizerConfig(kind="sgd", learning_rate=100.0)
+        cfg = small_config(warmup_epochs=0, main_optimizer=big_steps)
+        run = TrainingRun(cfg, dataset, MethodVariant("xbm"))
+        for idx in run.epoch_batches():
+            record = run.train_step(idx)
+            assert 0.0 <= record.drift_mean <= record.drift_max <= 2.0 + 1e-12
+
+    def test_matches_manual_computation(self, dataset):
+        run = TrainingRun(small_config(warmup_epochs=0), dataset, MethodVariant("axbn"))
+        batches = run.epoch_batches()
+        run.train_step(batches[0])
+        before = run.embedder.embed(run.probe_inputs)
+        record = run.train_step(batches[1])
+        after = run.embedder.embed(run.probe_inputs)
         dists = [
             math.sqrt(math.fsum((x - y) ** 2 for x, y in zip(za, zb)))
-            for za, zb in zip(a.embed(probe), b.embed(probe))
+            for za, zb in zip(after, before)
         ]
-        assert mean_d == pytest.approx(math.fsum(dists) / 7, rel=1e-12)
-        assert max_d == pytest.approx(max(dists), rel=1e-12)
+        assert record.drift_mean == pytest.approx(math.fsum(dists) / len(dists), rel=1e-12)
+        assert record.drift_max == pytest.approx(max(dists), rel=1e-12)
 
 
 class TestTrainingRunSetup:
