@@ -68,7 +68,7 @@ from .moments import (
     diag_gaussian_kl,
     xbn_transform,
 )
-from .retrieval import RetrievalProtocol, recall_at_k
+from .retrieval import recall_at_k
 from .training import (
     EpochRecord,
     IterationRecord,
@@ -76,6 +76,7 @@ from .training import (
     TrainConfig,
     TrainingRun,
     TrainResult,
+    evaluate,
     run_training,
     sample_pk_batches,
 )
@@ -118,8 +119,8 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     # evaluation
-    "RetrievalProtocol",
     "recall_at_k",
+    "evaluate",
     # datasets and formats
     "TAG_TRAIN",
     "TAG_VAL_QUERY",

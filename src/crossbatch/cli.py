@@ -13,9 +13,10 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from functools import reduce
 from pathlib import Path
 
@@ -24,9 +25,7 @@ import numpy as np
 from .data import FeatureDataset, SyntheticConfig, generate_synthetic, load_features, save_features
 from .embedder import load_checkpoint, save_checkpoint
 from .errors import CrossbatchError, InvalidConfig
-from .moments import EmbeddingBatch
-from .retrieval import RetrievalProtocol, recall_at_k
-from .training import VARIANTS, MethodVariant, TrainConfig, TrainResult, run_training
+from .training import VARIANTS, MethodVariant, TrainConfig, TrainResult, evaluate, run_training
 
 __all__ = ["main", "entrypoint", "read_metrics", "read_csv_rows"]
 
@@ -86,10 +85,15 @@ def default_out_root() -> Path:
 
 
 def read_config_file(path) -> dict[str, str]:
-    """Flat key=value lines; '#' starts a comment; blank lines ignored."""
+    """Flat key=value lines; blank lines ignored. A '#' at the start of a line
+    or after whitespace starts a comment, so a path may contain '#'."""
+    return _parse_config(Path(path).read_text(), path)
+
+
+def _parse_config(text: str, path) -> dict[str, str]:
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -185,20 +189,23 @@ def _run_dir(root: Path, variant: MethodVariant, settings: dict) -> Path:
 
 def _echo_config(config: TrainConfig, variant: MethodVariant, dataset, path: Path) -> None:
     """The resolved settings, as a config file that replays the run."""
-    lines = [f"variant = {variant.spec}", f"dataset = {dataset}"]
+    values = {"variant": variant.spec, "dataset": str(dataset)}
     for key, (attr_path, _) in _SETTINGS.items():
         value = reduce(getattr, attr_path.split("."), config)
         if value is not None and _applies(key, variant):
-            lines.append(f"{key} = {_format(value)}")
-    path.write_text("\n".join(lines) + "\n")
+            values[key] = _format(value)
+    text = "".join(f"{key} = {value}\n" for key, value in values.items())
+    if _parse_config(text, path) != values:
+        raise InvalidConfig(f"dataset path {str(dataset)!r} cannot be written to a config file")
+    path.write_text(text)
 
 
 def write_metrics(result: TrainResult, path: Path) -> None:
     with open(path, "w") as f:
         for record in result.iterations:
-            f.write(json.dumps(record.to_dict()) + "\n")
+            f.write(json.dumps({"type": "iteration", **asdict(record)}) + "\n")
         for record in result.epoch_records:
-            f.write(json.dumps(record.to_dict()) + "\n")
+            f.write(json.dumps({"type": "epoch", **asdict(record)}) + "\n")
 
 
 def read_metrics(path) -> tuple[list[dict], list[dict]]:
@@ -392,39 +399,14 @@ def cmd_drift(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     dataset = load_features(args.dataset)
     embedder = load_checkpoint(args.checkpoint)
-    ks = _parse_int_tuple(args.recall_ks)
-    from .data import TAG_VAL_GALLERY, TAG_VAL_QUERY
-
-    q_rows = dataset.rows(TAG_VAL_QUERY)
-    if len(q_rows) == 0:
-        raise InvalidConfig("dataset has no validation query rows")
-    queries = EmbeddingBatch(
-        vectors=embedder.embed(dataset.features[q_rows]), labels=dataset.labels[q_rows]
-    )
-    if dataset.single_set:
-        recall = recall_at_k(queries, queries, RetrievalProtocol("single", ks))
-    else:
-        g_rows = dataset.rows(TAG_VAL_GALLERY)
-        gallery = EmbeddingBatch(
-            vectors=embedder.embed(dataset.features[g_rows]), labels=dataset.labels[g_rows]
-        )
-        recall = recall_at_k(queries, gallery, RetrievalProtocol("query-gallery", ks))
+    recall = evaluate(embedder, dataset, _parse_int_tuple(args.recall_ks))
     for k, v in sorted(recall.items()):
         print(f"r_at_{k},{v:.6f}")
     return 0
 
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
-    cfg = SyntheticConfig(
-        train_classes=args.train_classes,
-        val_classes=args.val_classes,
-        samples_per_class=args.samples_per_class,
-        input_dim=args.input_dim,
-        cluster_std=args.cluster_std,
-        center_scale=args.center_scale,
-        seed=args.seed,
-        protocol=args.protocol,
-    )
+    cfg = SyntheticConfig(**{f.name: getattr(args, f.name) for f in fields(SyntheticConfig)})
     dataset = generate_synthetic(cfg)
     if args.dtype == "f4":
         dataset = FeatureDataset(
@@ -485,14 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen-data", help="generate a synthetic clustered dataset")
     p_gen.add_argument("--out", required=True)
-    p_gen.add_argument("--train-classes", dest="train_classes", type=int, default=100)
-    p_gen.add_argument("--val-classes", dest="val_classes", type=int, default=40)
-    p_gen.add_argument("--samples-per-class", dest="samples_per_class", type=int, default=20)
-    p_gen.add_argument("--input-dim", dest="input_dim", type=int, default=32)
-    p_gen.add_argument("--cluster-std", dest="cluster_std", type=float, default=1.0)
-    p_gen.add_argument("--center-scale", dest="center_scale", type=float, default=1.0)
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--protocol", choices=["single", "query-gallery"], default="single")
+    for f in fields(SyntheticConfig):
+        p_gen.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=type(f.default),
+                           default=f.default, help=f"SyntheticConfig.{f.name}, default {f.default}")
     p_gen.add_argument("--dtype", choices=["f4", "f8"], default="f8")
     p_gen.set_defaults(func=cmd_gen_data)
     return parser

@@ -1,53 +1,38 @@
 """Recall@k by exhaustive cosine-similarity nearest-neighbor search.
 
-Two protocols: a single self-excluded set (queries double as the gallery and
-a query never retrieves its own index) and a separate query/gallery split.
+Two protocols, told apart by the inputs: passing the same batch as queries
+and gallery scores a single self-excluded set (a query never retrieves its
+own index); distinct batches score a separate query/gallery split.
 Similarities are accumulated in float64 and ties are broken by ascending
 gallery index, so results are deterministic and order-stable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidConfig
 from .moments import EmbeddingBatch
 
-__all__ = ["RetrievalProtocol", "recall_at_k"]
-
-
-@dataclass(frozen=True)
-class RetrievalProtocol:
-    mode: str = "single"  # "single" (self-excluded) or "query-gallery"
-    k_values: tuple[int, ...] = (1,)
-
-    def validate(self) -> None:
-        if self.mode not in ("single", "query-gallery"):
-            raise InvalidConfig(f"mode must be single or query-gallery, got {self.mode!r}")
-        ks = tuple(self.k_values)
-        if not ks or any(k < 1 for k in ks) or list(ks) != sorted(ks):
-            raise InvalidConfig(f"k values must be >= 1 and ascending, got {ks}")
+__all__ = ["recall_at_k"]
 
 
 def recall_at_k(
-    queries: EmbeddingBatch, gallery: EmbeddingBatch, protocol: RetrievalProtocol
+    queries: EmbeddingBatch, gallery: EmbeddingBatch, k_values
 ) -> dict[int, float]:
     """Fraction of queries whose k nearest gallery items include a label match.
 
-    In single mode queries and gallery must be the same batch; the query's own
-    index is excluded from its candidates, so the effective gallery size is
-    n - 1. Every requested k must be smaller than the effective gallery size.
+    When gallery is queries (the same object) each query's own index is
+    excluded from its candidates, so the effective gallery size is n - 1.
+    Every requested k must be smaller than the effective gallery size.
     """
-    protocol.validate()
+    ks = tuple(k_values)
+    if not ks or any(k < 1 for k in ks) or list(ks) != sorted(ks):
+        raise InvalidConfig(f"k values must be >= 1 and ascending, got {ks}")
     if queries.dim != gallery.dim:
         raise DimensionMismatch(f"query dim {queries.dim} != gallery dim {gallery.dim}")
-    single = protocol.mode == "single"
-    if single and queries.n != gallery.n:
-        raise InvalidConfig("single mode requires queries and gallery to be the same batch")
+    single = gallery is queries
     effective = gallery.n - 1 if single else gallery.n
-    ks = tuple(protocol.k_values)
     if ks[-1] >= effective:
         raise InvalidConfig(f"k={ks[-1]} must be < effective gallery size {effective}")
     if queries.n == 0:

@@ -20,7 +20,7 @@ from .kalman import KalmanConfig, ema_step, kalman_init, kalman_step
 from .losses import PairMinerConfig, xbm_loss
 from .memory import MemoryBank
 from .moments import EmbeddingBatch, compute_moments
-from .retrieval import RetrievalProtocol, recall_at_k
+from .retrieval import recall_at_k
 
 __all__ = [
     "VARIANTS",
@@ -31,6 +31,7 @@ __all__ = [
     "TrainResult",
     "sample_pk_batches",
     "TrainingRun",
+    "evaluate",
     "run_training",
 ]
 
@@ -96,7 +97,7 @@ class MethodVariant:
     def __str__(self) -> str:
         """Name of the run directory and of the summary's variant column."""
         if self.kind == "ema":
-            return f"ema{self.momentum:g}"
+            return "ema" + np.format_float_positional(self.momentum, trim="-")
         return self.kind
 
 
@@ -167,19 +168,6 @@ class IterationRecord:
     drift_mean: float | None = None
     drift_max: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "type": "iteration",
-            "epoch": self.epoch,
-            "step": self.step,
-            "stage": self.stage,
-            "loss": self.loss,
-            "lr": self.lr,
-            "gain": self.gain,
-            "drift_mean": self.drift_mean,
-            "drift_max": self.drift_max,
-        }
-
 
 @dataclass(frozen=True)
 class EpochRecord:
@@ -189,17 +177,6 @@ class EpochRecord:
     mean_drift: float | None  # epoch average of per-step mean drift
     max_drift: float | None  # epoch average of per-step max drift
     recall: dict[int, float]
-
-    def to_dict(self) -> dict:
-        return {
-            "type": "epoch",
-            "epoch": self.epoch,
-            "stage": self.stage,
-            "mean_loss": self.mean_loss,
-            "mean_drift": self.mean_drift,
-            "max_drift": self.max_drift,
-            "recall": {str(k): v for k, v in self.recall.items()},
-        }
 
 
 @dataclass
@@ -291,19 +268,7 @@ class TrainingRun:
         probe_rows = _rng(config.seed, 2).choice(len(self.train_labels), size=n_probe, replace=False)
         self.probe_inputs = self.train_features[probe_rows]
         self._prev_probe_z = self.embedder.embed(self.probe_inputs) if config.probe_drift else None
-        self._val_query, self._val_gallery, self._protocol = self._validation_setup()
-
-    def _validation_setup(self):
-        ds = self.dataset
-        q_rows = ds.rows(TAG_VAL_QUERY)
-        if len(q_rows) == 0:
-            return None, None, None
-        if ds.single_set:
-            protocol = RetrievalProtocol(mode="single", k_values=self.config.recall_ks)
-            return q_rows, q_rows, protocol
-        g_rows = ds.rows(TAG_VAL_GALLERY)
-        protocol = RetrievalProtocol(mode="query-gallery", k_values=self.config.recall_ks)
-        return q_rows, g_rows, protocol
+        self._validates = TAG_VAL_QUERY in dataset.splits
 
     def _stage_epoch(self) -> int:
         """Epoch index within the current stage, for the LR schedule."""
@@ -373,21 +338,8 @@ class TrainingRun:
         return record
 
     def evaluate(self, embedder: MLPEmbedder | None = None) -> dict[int, float]:
-        """Validation recall at the configured k values."""
-        if self._protocol is None:
-            raise InvalidConfig("dataset has no validation rows")
-        embedder = embedder or self.embedder
-        q = EmbeddingBatch(
-            vectors=embedder.embed(self.dataset.features[self._val_query]),
-            labels=self.dataset.labels[self._val_query],
-        )
-        if self._protocol.mode == "single":
-            return recall_at_k(q, q, self._protocol)
-        g = EmbeddingBatch(
-            vectors=embedder.embed(self.dataset.features[self._val_gallery]),
-            labels=self.dataset.labels[self._val_gallery],
-        )
-        return recall_at_k(q, g, self._protocol)
+        """Validation recall of embedder (default: the current one) at the configured k."""
+        return evaluate(embedder or self.embedder, self.dataset, self.config.recall_ks)
 
     def epoch_batches(self) -> list[np.ndarray]:
         """This epoch's P-K batches; depends only on (seed, epoch, labels)."""
@@ -399,7 +351,7 @@ class TrainingRun:
     def run_epoch(self) -> EpochRecord:
         """All steps of the current epoch plus validation bookkeeping."""
         records = [self.train_step(idx) for idx in self.epoch_batches()]
-        recall = self.evaluate() if self._protocol is not None else {}
+        recall = self.evaluate() if self._validates else {}
         drift_means = [r.drift_mean for r in records if r.drift_mean is not None]
         drift_maxes = [r.drift_max for r in records if r.drift_max is not None]
         record = EpochRecord(
@@ -437,7 +389,7 @@ class TrainingRun:
         if best_epoch < 0:
             # No validation signal (no val rows or zero epochs): final params.
             best_embedder = self.embedder.clone()
-            best_recall = self.evaluate() if self._protocol is not None else {}
+            best_recall = self.evaluate() if self._validates else {}
         return TrainResult(
             variant=self.variant,
             config=self.config,
@@ -448,6 +400,23 @@ class TrainingRun:
             iterations=self.iterations,
             epoch_records=self.epoch_records,
         )
+
+
+def evaluate(embedder: MLPEmbedder, dataset: FeatureDataset, k_values) -> dict[int, float]:
+    """Recall@k of embedder on dataset's validation rows, under its protocol.
+
+    A single-set dataset scores its query rows against themselves with
+    self-exclusion; otherwise the query rows are scored against the gallery rows.
+    """
+    def embedded(tag: int) -> EmbeddingBatch:
+        rows = dataset.rows(tag)
+        return EmbeddingBatch(embedder.embed(dataset.features[rows]), dataset.labels[rows])
+
+    if TAG_VAL_QUERY not in dataset.splits:
+        raise InvalidConfig("dataset has no validation query rows")
+    queries = embedded(TAG_VAL_QUERY)
+    gallery = queries if dataset.single_set else embedded(TAG_VAL_GALLERY)
+    return recall_at_k(queries, gallery, k_values)
 
 
 def run_training(

@@ -27,7 +27,6 @@ from crossbatch import (
     MomentStats,
     OptimizerConfig,
     PairMinerConfig,
-    RetrievalProtocol,
     SyntheticConfig,
     TrainConfig,
     TrainingRun,
@@ -402,7 +401,7 @@ def test_a5_oracle_parity(capsys):
         gallery = _unit_batch(rng, int(rng.integers(5, 12)), d, n_classes=4)
         if seed % 2:
             ks = tuple(sorted({1, 2, min(3, gallery.n - 2)}))
-            got_r = recall_at_k(gallery, gallery, RetrievalProtocol("single", ks))
+            got_r = recall_at_k(gallery, gallery, ks)
             want_r = naive_recall(
                 gallery.vectors.tolist(), gallery.labels.tolist(),
                 gallery.vectors.tolist(), gallery.labels.tolist(),
@@ -411,7 +410,7 @@ def test_a5_oracle_parity(capsys):
         else:
             queries = _unit_batch(rng, int(rng.integers(2, 6)), d, n_classes=4)
             ks = tuple(sorted({1, min(3, gallery.n - 1)}))
-            got_r = recall_at_k(queries, gallery, RetrievalProtocol("query-gallery", ks))
+            got_r = recall_at_k(queries, gallery, ks)
             want_r = naive_recall(
                 queries.vectors.tolist(), queries.labels.tolist(),
                 gallery.vectors.tolist(), gallery.labels.tolist(),

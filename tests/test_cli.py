@@ -1,7 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from crossbatch import InvalidConfig, MethodVariant, TrainConfig, cli, load_features
+from crossbatch import (
+    InvalidConfig,
+    MethodVariant,
+    SyntheticConfig,
+    TrainConfig,
+    cli,
+    evaluate,
+    load_checkpoint,
+    load_features,
+)
 from crossbatch.cli import (
     OUT_ENV_VAR,
     _parse_int_tuple,
@@ -50,9 +61,13 @@ class TestConfigFile:
             "epochs = 5   # short run\n"
             "variant=xbn\n"
             "lr = 2e-4\n"
+            "dataset = /data/hash#dir/d.xbnf\t# a '#' inside a value is kept\n"
+            "#seed = 3\n"
         )
         values = read_config_file(p)
-        assert values == {"epochs": "5", "variant": "xbn", "lr": "2e-4"}
+        assert values == {
+            "epochs": "5", "variant": "xbn", "lr": "2e-4", "dataset": "/data/hash#dir/d.xbnf"
+        }
 
     def test_unknown_key_cites_line(self, tmp_path):
         p = tmp_path / "run.cfg"
@@ -127,6 +142,28 @@ class TestSettingsTable:
         assert (run_b / "config.txt").read_text() == (run_a / "config.txt").read_text()
         for name in ("checkpoint.xbnc", "metrics.jsonl", "summary.csv"):
             assert (run_b / name).read_bytes() == (run_a / name).read_bytes(), name
+
+    def test_replay_with_hash_in_dataset_path(self, tmp_path, data_file):
+        data_dir = tmp_path / "hash#dir"
+        data_dir.mkdir()
+        data = data_dir / "d.xbnf"
+        data.write_bytes(data_file.read_bytes())
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert main(train_argv(data, out_a, "--variant", "xbn")) == 0
+        run_a = out_a / "xbn" / "0"
+        assert read_config_file(run_a / "config.txt")["dataset"] == str(data)
+        assert main(["train", "--config", str(run_a / "config.txt"), "--out", str(out_b)]) == 0
+        ckpt = "xbn/0/checkpoint.xbnc"
+        assert (out_b / ckpt).read_bytes() == (out_a / ckpt).read_bytes()
+
+    def test_unreplayable_dataset_path_rejected(self, tmp_path, data_file, capsys):
+        data_dir = tmp_path / "space #dir"  # would read back as a comment
+        data_dir.mkdir()
+        data = data_dir / "d.xbnf"
+        data.write_bytes(data_file.read_bytes())
+        assert main(train_argv(data, tmp_path / "out", "--variant", "xbn")) == 2
+        assert "cannot be written to a config file" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "xbn" / "0" / "config.txt").exists()
 
 
 class TestParseHelpers:
@@ -400,8 +437,8 @@ class TestEval:
             line.split(",") for line in capsys.readouterr().out.strip().splitlines()
         )
         summary = read_csv_rows(run_dir / "summary.csv")[0]
-        assert float(lines["r_at_1"]) == pytest.approx(float(summary["r_at_1"]), abs=1e-6)
-        assert float(lines["r_at_5"]) == pytest.approx(float(summary["r_at_5"]), abs=1e-6)
+        for k in ("r_at_1", "r_at_5"):
+            assert f"{float(summary[k]):.6f}" == lines[k]
 
     def test_query_gallery_dataset(self, tmp_path, data_file, capsys):
         qg = tmp_path / "qg.xbnf"
@@ -410,13 +447,11 @@ class TestEval:
         out = tmp_path / "out"
         assert main(train_argv(data_file, out, "--variant", "xbm")) == 0
         capsys.readouterr()
-        code = main([
-            "eval", "--checkpoint", str(out / "xbm" / "0" / "checkpoint.xbnc"),
-            "--dataset", str(qg), "--recall-ks", "1",
-        ])
+        ckpt = out / "xbm" / "0" / "checkpoint.xbnc"
+        code = main(["eval", "--checkpoint", str(ckpt), "--dataset", str(qg), "--recall-ks", "1,5"])
         assert code == 0
-        out_text = capsys.readouterr().out
-        assert out_text.startswith("r_at_1,")
+        recall = evaluate(load_checkpoint(ckpt), load_features(qg), (1, 5))
+        assert capsys.readouterr().out == "".join(f"r_at_{k},{v:.6f}\n" for k, v in recall.items())
 
     def test_train_only_dataset_rejected(self, tmp_path, capsys):
         # a dataset with no validation rows cannot be evaluated
@@ -438,6 +473,16 @@ class TestEval:
 
 
 class TestGenData:
+    def test_defaults_are_synthetic_config(self, tmp_path):
+        args = build_parser().parse_args(["gen-data", "--out", str(tmp_path / "d.xbnf")])
+        names = [f.name for f in dataclasses.fields(SyntheticConfig)]
+        assert SyntheticConfig(**{n: getattr(args, n) for n in names}) == SyntheticConfig()
+
+    def test_bad_protocol_exits_2(self, tmp_path, capsys):
+        code = main(["gen-data", "--out", str(tmp_path / "d.xbnf"), "--protocol", "both"])
+        assert code == 2
+        assert "protocol must be single or query-gallery" in capsys.readouterr().err
+
     def test_dtype_f4(self, tmp_path, capsys):
         path = tmp_path / "small.xbnf"
         code = main(["gen-data", "--out", str(path), *GEN_FLAGS, "--dtype", "f4"])

@@ -11,7 +11,6 @@ from crossbatch import (
     InvalidConfig,
     MLPEmbedder,
     NonFiniteInput,
-    RetrievalProtocol,
     ShapeMismatch,
     SyntheticConfig,
     dataset_from_embeddings,
@@ -129,7 +128,7 @@ class TestGenerateSynthetic:
         batch = EmbeddingBatch(
             vectors=net.embed(ds.features[rows]), labels=ds.labels[rows]
         )
-        out = recall_at_k(batch, batch, RetrievalProtocol(mode="single", k_values=(1,)))
+        out = recall_at_k(batch, batch, (1,))
         assert out[1] == 1.0
 
     @pytest.mark.parametrize(

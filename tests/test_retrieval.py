@@ -7,7 +7,6 @@ from crossbatch import (
     DimensionMismatch,
     EmbeddingBatch,
     InvalidConfig,
-    RetrievalProtocol,
     recall_at_k,
 )
 from oracles import naive_recall
@@ -31,42 +30,36 @@ class TestProtocolValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"mode": "both"},
             {"k_values": ()},
             {"k_values": (0,)},
             {"k_values": (5, 1)},  # not ascending
         ],
     )
     def test_invalid(self, kwargs):
-        with pytest.raises(InvalidConfig):
-            RetrievalProtocol(**kwargs).validate()
+        b = batch(12, 4, seed=0)
+        with pytest.raises(InvalidConfig, match="k values must be >= 1 and ascending"):
+            recall_at_k(b, b, **kwargs)
 
     def test_k_must_fit_gallery(self):
         b = batch(6, 4, seed=0)
         with pytest.raises(InvalidConfig):
-            recall_at_k(b, b, RetrievalProtocol(mode="single", k_values=(5,)))
+            recall_at_k(b, b, (5,))
         g = batch(6, 4, seed=1)
         with pytest.raises(InvalidConfig):
-            recall_at_k(b, g, RetrievalProtocol(mode="query-gallery", k_values=(6,)))
+            recall_at_k(b, g, (6,))
         # largest legal k is fine
-        recall_at_k(b, b, RetrievalProtocol(mode="single", k_values=(4,)))
-        recall_at_k(b, g, RetrievalProtocol(mode="query-gallery", k_values=(5,)))
+        recall_at_k(b, b, (4,))
+        recall_at_k(b, g, (5,))
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            recall_at_k(
-                batch(4, 3, seed=0),
-                batch(4, 5, seed=1),
-                RetrievalProtocol(mode="query-gallery"),
-            )
+            recall_at_k(batch(4, 3, seed=0), batch(4, 5, seed=1), (1,))
 
-    def test_single_mode_requires_same_size(self):
-        with pytest.raises(InvalidConfig):
-            recall_at_k(
-                batch(4, 3, seed=0),
-                batch(5, 3, seed=1),
-                RetrievalProtocol(mode="single"),
-            )
+    def test_self_exclusion_follows_identity(self):
+        # an equal copy is a separate gallery: the query's own row counts
+        b = batch(6, 4, seed=0)
+        copy = EmbeddingBatch(vectors=b.vectors.copy(), labels=b.labels.copy())
+        assert recall_at_k(b, copy, (1,)) == {1: 1.0}
 
 
 class TestHandCases:
@@ -78,14 +71,14 @@ class TestHandCases:
             vectors=np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]),
             labels=np.array([0, 1, 2]),
         )
-        out = recall_at_k(q, g, RetrievalProtocol(mode="query-gallery", k_values=(1, 2)))
+        out = recall_at_k(q, g, (1, 2))
         assert out == {1: 1.0, 2: 1.0}
 
     def test_unique_label_never_recalled_in_single_mode(self):
         # self is excluded, and nothing else shares the label
         vs = unit_rows(5, 3, seed=3)
         b = EmbeddingBatch(vectors=vs, labels=np.array([0, 1, 2, 3, 4]))
-        out = recall_at_k(b, b, RetrievalProtocol(mode="single", k_values=(1, 3)))
+        out = recall_at_k(b, b, (1, 3))
         assert out == {1: 0.0, 3: 0.0}
 
     def test_self_excluded_in_single_mode(self):
@@ -93,7 +86,7 @@ class TestHandCases:
         # would retrieve itself at rank 1 and score a hit
         vs = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         b = EmbeddingBatch(vectors=vs, labels=np.array([0, 1, 2]))
-        out = recall_at_k(b, b, RetrievalProtocol(mode="single", k_values=(1,)))
+        out = recall_at_k(b, b, (1,))
         assert out == {1: 0.0}
 
     def test_ties_broken_by_lower_gallery_index(self):
@@ -103,12 +96,12 @@ class TestHandCases:
             labels=np.array([9, 7, 7]),
         )
         # both gallery rows 0 and 1 have similarity 1; row 0 (label 9) wins the tie
-        out = recall_at_k(q, g, RetrievalProtocol(mode="query-gallery", k_values=(1, 2)))
+        out = recall_at_k(q, g, (1, 2))
         assert out == {1: 0.0, 2: 1.0}
 
     def test_monotone_in_k(self):
         b = batch(40, 6, seed=4)
-        out = recall_at_k(b, b, RetrievalProtocol(mode="single", k_values=(1, 2, 4, 8, 16)))
+        out = recall_at_k(b, b, (1, 2, 4, 8, 16))
         values = [out[k] for k in (1, 2, 4, 8, 16)]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
@@ -117,7 +110,7 @@ class TestAgainstNaiveOracle:
     @pytest.mark.parametrize("seed", range(6))
     def test_single_mode(self, seed):
         b = batch(50, 5, seed=seed, n_classes=7)
-        out = recall_at_k(b, b, RetrievalProtocol(mode="single", k_values=(1, 3, 10)))
+        out = recall_at_k(b, b, (1, 3, 10))
         expected = naive_recall(
             b.vectors, b.labels, b.vectors, b.labels, (1, 3, 10), exclude_self=True
         )
@@ -127,9 +120,7 @@ class TestAgainstNaiveOracle:
     def test_query_gallery_mode(self, seed):
         q = batch(30, 5, seed=seed, n_classes=7)
         g = batch(45, 5, seed=seed + 100, n_classes=7)
-        out = recall_at_k(
-            q, g, RetrievalProtocol(mode="query-gallery", k_values=(1, 3, 10))
-        )
+        out = recall_at_k(q, g, (1, 3, 10))
         expected = naive_recall(
             q.vectors, q.labels, g.vectors, g.labels, (1, 3, 10), exclude_self=False
         )
@@ -149,8 +140,7 @@ def test_property_gallery_permutation_invariance(seed, n, perm_seed):
     g = batch(n, 4, seed=seed + 1, n_classes=4)
     perm = np.random.default_rng(perm_seed).permutation(n)
     g_perm = EmbeddingBatch(vectors=g.vectors[perm], labels=g.labels[perm])
-    proto = RetrievalProtocol(mode="query-gallery", k_values=(1, 3))
-    assert recall_at_k(q, g, proto) == recall_at_k(q, g_perm, proto)
+    assert recall_at_k(q, g, (1, 3)) == recall_at_k(q, g_perm, (1, 3))
 
 
 @settings(max_examples=40, deadline=None)
@@ -159,7 +149,7 @@ def test_property_recall_monotone_and_bounded(seed, n):
     b = batch(n, 4, seed=seed, n_classes=3)
     ks = (1, 2, min(8, n - 2))
     ks = tuple(sorted(set(ks)))
-    out = recall_at_k(b, b, RetrievalProtocol(mode="single", k_values=ks))
+    out = recall_at_k(b, b, ks)
     values = [out[k] for k in ks]
     assert all(0.0 <= v <= 1.0 for v in values)
     assert all(a <= b for a, b in zip(values, values[1:]))

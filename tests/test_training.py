@@ -57,6 +57,18 @@ class TestMethodVariant:
         for variant in (v, MethodVariant("axbn"), MethodVariant("ema", momentum=0.1 + 0.2)):
             assert MethodVariant.parse(variant.spec) == variant
 
+    def test_distinct_momenta_get_distinct_directories(self):
+        names = {
+            spec: str(MethodVariant.parse(spec))
+            for spec in ("ema:0", "ema:1", "ema:0.3", "ema:0.9", "ema:0.1234567",
+                         "ema:0.1234568", "ema:0.1", "ema:0.1000001", "ema:1e-20")
+        }
+        assert len(set(names.values())) == len(names)
+        # the short spellings of earlier runs are kept
+        assert [names[s] for s in ("ema:0", "ema:1", "ema:0.3", "ema:0.9")] == [
+            "ema0", "ema1", "ema0.3", "ema0.9"
+        ]
+
     def test_invalid(self):
         with pytest.raises(InvalidConfig):
             MethodVariant("banana")
