@@ -25,6 +25,7 @@ import numpy as np
 from .data import FeatureDataset, SyntheticConfig, generate_synthetic, load_features, save_features
 from .embedder import load_checkpoint, save_checkpoint
 from .errors import CrossbatchError, InvalidConfig
+from .kalman import KalmanConfig
 from .training import VARIANTS, MethodVariant, TrainConfig, TrainResult, evaluate, run_training
 
 __all__ = ["main", "entrypoint", "read_metrics", "read_csv_rows"]
@@ -170,33 +171,31 @@ def build_variant(settings: dict) -> MethodVariant:
     return variant
 
 
-def _for_variant(settings: dict, variant: MethodVariant) -> dict:
-    """One variant's copy of settings shared by several runs.
+def _for_variant(config: TrainConfig, variant: MethodVariant) -> TrainConfig:
+    """One variant's copy of a config shared by several runs.
 
     Mixed-variant grids share one flag set; filter knobs passed for the
-    adaptive variant must not invalidate the others' runs.
+    adaptive variant must not reach the others' runs.
     """
-    cell = {k: None if k in _SETTINGS and not _applies(k, variant) else v
-            for k, v in settings.items()}
-    cell["variant"] = variant.spec
-    return cell
+    return config if variant.stats_filter == "kalman" else replace(config, kalman=KalmanConfig())
 
 
-def _run_dir(root: Path, variant: MethodVariant, settings: dict) -> Path:
+def _run_dir(root: Path, variant: MethodVariant, config: TrainConfig) -> Path:
     """<root>/<variant>/<seed>, the output directory of every training run."""
-    return root / str(variant) / str(build_train_config(settings).seed)
+    return root / str(variant) / str(config.seed)
 
 
 def _echo_config(config: TrainConfig, variant: MethodVariant, dataset, path: Path) -> None:
-    """The resolved settings, as a config file that replays the run."""
-    values = {"variant": variant.spec, "dataset": str(dataset)}
+    """The resolved settings, as a config file that replays the run from any directory."""
+    dataset = os.path.abspath(dataset)
+    values = {"variant": variant.spec, "dataset": dataset}
     for key, (attr_path, _) in _SETTINGS.items():
         value = reduce(getattr, attr_path.split("."), config)
         if value is not None and _applies(key, variant):
             values[key] = _format(value)
     text = "".join(f"{key} = {value}\n" for key, value in values.items())
     if _parse_config(text, path) != values:
-        raise InvalidConfig(f"dataset path {str(dataset)!r} cannot be written to a config file")
+        raise InvalidConfig(f"dataset path {dataset!r} cannot be written to a config file")
     path.write_text(text)
 
 
@@ -236,11 +235,10 @@ def _summary_row(result: TrainResult, seed: int) -> dict:
     return row
 
 
-def _run_one(settings: dict, dataset: FeatureDataset, out_dir: Path) -> TrainResult:
-    config = build_train_config(settings)
-    variant = build_variant(settings)
+def _run_one(config: TrainConfig, variant: MethodVariant, dataset_path,
+             dataset: FeatureDataset, out_dir: Path) -> TrainResult:
     out_dir.mkdir(parents=True, exist_ok=True)
-    _echo_config(config, variant, settings["dataset"], out_dir / "config.txt")
+    _echo_config(config, variant, dataset_path, out_dir / "config.txt")
     result = run_training(config, dataset, variant)
     write_metrics(result, out_dir / "metrics.jsonl")
     _write_csv(
@@ -263,8 +261,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     settings = resolve_settings(args)
     dataset = _load_dataset(settings)
     variant = build_variant(settings)
-    out_dir = _run_dir(Path(args.out or default_out_root()), variant, settings)
-    result = _run_one(settings, dataset, out_dir)
+    config = build_train_config(settings)
+    out_dir = _run_dir(Path(args.out or default_out_root()), variant, config)
+    result = _run_one(config, variant, settings["dataset"], dataset, out_dir)
     best = ", ".join(f"R@{k}={v:.4f}" for k, v in sorted(result.best_recall.items()))
     print(f"{variant} seed {result.config.seed}: best epoch {result.best_epoch}, {best}")
     print(f"outputs in {out_dir}")
@@ -277,18 +276,18 @@ def _sweep_cell(payload: dict) -> dict:
     A package error or an OSError (unreadable dataset, unwritable out dir)
     fails this cell only; it is recorded in the row, never raised.
     """
-    settings = payload["settings"]
+    config, variant = payload["config"], payload["variant"]
     row = {
         "axis": payload["axis"],
         "axis_value": payload["axis_value"],
-        "variant": settings["variant"],
-        "seed": settings["seed"],
+        "variant": variant.spec,
+        "seed": config.seed,
         "status": "ok",
         "error": "",
     }
     try:
-        dataset = load_features(settings["dataset"])
-        result = _run_one(settings, dataset, Path(payload["out_dir"]))
+        dataset = load_features(payload["dataset"])
+        result = _run_one(config, variant, payload["dataset"], dataset, Path(payload["out_dir"]))
     except (CrossbatchError, OSError) as exc:
         row["status"] = "failed"
         row["error"] = str(exc)
@@ -302,8 +301,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     settings = resolve_settings(args)
     _load_dataset(settings)  # fail fast on a bad path before launching workers
     axis_key = args.axis.replace("-", "_")
-    if axis_key not in ("batch_size", "memory_fraction"):
-        raise InvalidConfig(f"sweep axis must be batch-size or memory-fraction, got {args.axis!r}")
     try:
         values = [
             int(v) if axis_key == "batch_size" else float(v) for v in args.values.split(",")
@@ -317,21 +314,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not values or not variants or not seeds:
         raise InvalidConfig("sweep needs at least one value, variant, and seed")
     out_root = Path(args.out or default_out_root())
-    ks = build_train_config(settings).recall_ks
+    config = build_train_config(settings)
+    ks = config.recall_ks
 
     cells = []
     for value in values:
         for variant in variants:
             for seed in seeds:
-                cell = _for_variant(settings, variant)
-                cell[axis_key] = value
+                changes = {axis_key: value, "seed": seed}
                 if axis_key == "memory_fraction":
-                    cell["memory_capacity"] = None  # the swept fraction must win
-                cell["seed"] = seed
+                    changes["memory_capacity"] = None  # the swept fraction must win
+                cell = replace(_for_variant(config, variant), **changes)
                 out_dir = _run_dir(out_root / f"{args.axis}-{value:g}", variant, cell)
-                cells.append(
-                    {"settings": cell, "axis": args.axis, "axis_value": value, "out_dir": str(out_dir)}
-                )
+                cells.append({"config": cell, "variant": variant, "dataset": settings["dataset"],
+                              "axis": args.axis, "axis_value": value, "out_dir": str(out_dir)})
 
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
@@ -373,13 +369,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_drift(args: argparse.Namespace) -> int:
     settings = resolve_settings(args)
-    settings["probe_drift"] = True
     dataset = _load_dataset(settings)
+    config = replace(build_train_config(settings), probe_drift=True)
     out_root = Path(args.out or default_out_root())
     rows = []
     for variant in [MethodVariant.parse(name) for name in args.variants.split(",")]:
-        cell = _for_variant(settings, variant)
-        result = _run_one(cell, dataset, _run_dir(out_root, variant, cell))
+        cell = _for_variant(config, variant)
+        out_dir = _run_dir(out_root, variant, cell)
+        result = _run_one(cell, variant, settings["dataset"], dataset, out_dir)
         for record in result.epoch_records:
             rows.append(
                 {

@@ -225,11 +225,8 @@ def load_csv(path, split_tag: int = TAG_TRAIN) -> FeatureDataset:
             offset += len(raw)
     if not features:
         raise FormatError("no data rows", 0)
-    feats = np.asarray(features, dtype=np.float64)
-    if not np.isfinite(feats).all():
-        raise NonFiniteInput("features contain NaN or infinity")
     return FeatureDataset(
-        features=feats,
+        features=np.asarray(features, dtype=np.float64),
         labels=np.asarray(labels, dtype=np.int64),
         splits=np.full(len(labels), split_tag, dtype=np.uint8),
     )

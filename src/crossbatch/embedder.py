@@ -115,7 +115,6 @@ class MLPEmbedder:
             "relu_masks": relu_masks,
             "u": u,
             "s": s,
-            "n": x.shape[0],
         }
         return z, cache
 

@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,6 +156,22 @@ class TestSettingsTable:
         assert main(["train", "--config", str(run_a / "config.txt"), "--out", str(out_b)]) == 0
         ckpt = "xbn/0/checkpoint.xbnc"
         assert (out_b / ckpt).read_bytes() == (out_a / ckpt).read_bytes()
+
+    def test_replay_of_relative_dataset_path_from_another_directory(
+        self, tmp_path, data_file, monkeypatch
+    ):
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        (sub / "d.xbnf").write_bytes(data_file.read_bytes())
+        monkeypatch.chdir(sub)
+        assert main(train_argv("d.xbnf", "runs", "--variant", "xbn")) == 0
+        run_a = sub / "runs" / "xbn" / "0"
+        recorded = Path(read_config_file(run_a / "config.txt")["dataset"])
+        assert recorded.is_absolute() and recorded.samefile(sub / "d.xbnf")
+        monkeypatch.chdir(tmp_path)
+        assert main(["train", "--config", "sub/runs/xbn/0/config.txt", "--out", "b"]) == 0
+        ckpt = "xbn/0/checkpoint.xbnc"
+        assert (tmp_path / "b" / ckpt).read_bytes() == (run_a / "checkpoint.xbnc").read_bytes()
 
     def test_unreplayable_dataset_path_rejected(self, tmp_path, data_file, capsys):
         data_dir = tmp_path / "space #dir"  # would read back as a comment
@@ -361,10 +378,10 @@ class TestSweep:
     def test_os_error_in_one_cell_keeps_the_others(self, tmp_path, data_file, monkeypatch, capsys):
         real_run_one = cli._run_one
 
-        def flaky(settings, dataset, out_dir):
-            if settings["seed"] == 1:
+        def flaky(config, variant, dataset_path, dataset, out_dir):
+            if config.seed == 1:
                 raise OSError(f"[Errno 30] Read-only file system: '{out_dir}'")
-            return real_run_one(settings, dataset, out_dir)
+            return real_run_one(config, variant, dataset_path, dataset, out_dir)
 
         monkeypatch.setattr(cli, "_run_one", flaky)
         out = tmp_path / "sweep"

@@ -271,6 +271,13 @@ class TestCsvImport:
         with pytest.raises(FormatError):
             load_csv(p)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_field(self, tmp_path, value):
+        p = tmp_path / "n.csv"
+        p.write_text(f"1.0,2.0,0\n3.0,{value},1\n")
+        with pytest.raises(NonFiniteInput, match="NaN or infinity"):
+            load_csv(p)
+
 
 class TestDatasetFromEmbeddings:
     def test_wraps_and_round_trips(self, tmp_path):

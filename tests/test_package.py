@@ -19,3 +19,9 @@ def test_every_exported_name_exists():
         module = importlib.import_module(name)
         missing = [n for n in module.__all__ if not hasattr(module, n)]
         assert not missing, (name, missing)
+
+
+def test_package_exports_exactly_the_modules_public_names():
+    modules = sorted(name for name in MODULES if name not in ("crossbatch", "crossbatch.cli"))
+    expected = [n for name in modules for n in importlib.import_module(name).__all__]
+    assert crossbatch.__all__ == ["__version__", *expected]
