@@ -237,6 +237,7 @@ def _summary_row(result: TrainResult, seed: int) -> dict:
 
 def _run_one(config: TrainConfig, variant: MethodVariant, dataset_path,
              dataset: FeatureDataset, out_dir: Path) -> TrainResult:
+    config.validate()  # a rejected config leaves no run directory behind
     out_dir.mkdir(parents=True, exist_ok=True)
     _echo_config(config, variant, dataset_path, out_dir / "config.txt")
     result = run_training(config, dataset, variant)

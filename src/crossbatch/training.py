@@ -20,7 +20,7 @@ from .kalman import KalmanConfig, ema_step, kalman_init, kalman_step
 from .losses import PairMinerConfig, xbm_loss
 from .memory import MemoryBank
 from .moments import EmbeddingBatch, compute_moments
-from .retrieval import recall_at_k
+from .retrieval import _check_k_values, recall_at_k
 
 __all__ = [
     "VARIANTS",
@@ -145,6 +145,9 @@ class TrainConfig:
             raise InvalidConfig(f"embed_dim must be >= 1, got {self.embed_dim}")
         if any(h < 1 for h in self.hidden_dims):
             raise InvalidConfig(f"hidden_dims must be positive, got {self.hidden_dims}")
+        if _check_k_values(self.recall_ks)[0] != 1:
+            # run() picks the best epoch by R@1
+            raise InvalidConfig(f"recall_ks must start with 1, got {self.recall_ks}")
         self.warmup_optimizer.validate()
         self.main_optimizer.validate()
         self.kalman.validate()

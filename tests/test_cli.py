@@ -278,6 +278,14 @@ class TestFlagValidation:
         assert err.startswith("error: ")
         assert needle in err
 
+    def test_recall_ks_without_r1_rejected_before_training(self, tmp_path, data_file, capsys):
+        # the best epoch is picked by R@1, so training without it is refused
+        out = tmp_path / "out"
+        code = main(train_argv(data_file, out, "--variant", "xbn", "--recall-ks", "5"))
+        assert code == 2
+        assert "recall_ks must start with 1" in capsys.readouterr().err
+        assert not out.exists()  # no run directory, so no checkpoint.xbnc
+
     def test_missing_dataset(self, tmp_path, capsys):
         code = main(["train", "--variant", "xbn", "--out", str(tmp_path)])
         assert code == 2
@@ -469,6 +477,18 @@ class TestEval:
         assert code == 0
         recall = evaluate(load_checkpoint(ckpt), load_features(qg), (1, 5))
         assert capsys.readouterr().out == "".join(f"r_at_{k},{v:.6f}\n" for k, v in recall.items())
+
+    def test_recall_ks_need_not_include_1(self, tmp_path, data_file, capsys):
+        # eval selects nothing, so any ascending k values are legal
+        from crossbatch import MLPEmbedder, save_checkpoint
+
+        ckpt = tmp_path / "net.xbnc"
+        save_checkpoint(MLPEmbedder((8, 6)), ckpt)
+        code = main(["eval", "--checkpoint", str(ckpt), "--dataset", str(data_file),
+                     "--recall-ks", "5"])
+        assert code == 0
+        recall = evaluate(load_checkpoint(ckpt), load_features(data_file), (5,))
+        assert capsys.readouterr().out == f"r_at_5,{recall[5]:.6f}\n"
 
     def test_train_only_dataset_rejected(self, tmp_path, capsys):
         # a dataset with no validation rows cannot be evaluated

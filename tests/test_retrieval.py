@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from crossbatch import (
     EmbeddingBatch,
     InvalidConfig,
     recall_at_k,
+    retrieval,
 )
 from oracles import naive_recall
 
@@ -39,6 +42,26 @@ class TestProtocolValidation:
         b = batch(12, 4, seed=0)
         with pytest.raises(InvalidConfig, match="k values must be >= 1 and ascending"):
             recall_at_k(b, b, **kwargs)
+
+    @pytest.mark.parametrize(
+        "k_values,why",
+        [
+            ((2.0,), "not all integers"),
+            ((1, 2.5), "not all integers"),
+            ((1, 1), "not strictly ascending"),
+            ((1, 3, 3), "not strictly ascending"),
+        ],
+    )
+    def test_non_integral_or_repeated_k(self, k_values, why):
+        b = batch(12, 4, seed=0)
+        with pytest.raises(InvalidConfig, match=f"k values must be >= 1 and ascending.*{why}"):
+            recall_at_k(b, b, k_values)
+
+    def test_integer_like_k_accepted(self):
+        b = batch(12, 4, seed=0)
+        out = recall_at_k(b, b, [np.int64(1), np.int32(3)])
+        assert out == recall_at_k(b, b, (1, 3))
+        assert all(type(k) is int for k in out)
 
     def test_k_must_fit_gallery(self):
         b = batch(6, 4, seed=0)
@@ -153,3 +176,68 @@ def test_property_recall_monotone_and_bounded(seed, n):
     values = [out[k] for k in ks]
     assert all(0.0 <= v <= 1.0 for v in values)
     assert all(a <= b for a, b in zip(values, values[1:]))
+
+
+def quarter_grid_batch(rng, n, dim, n_classes):
+    """Coordinates on multiples of 1/4 in [-1, 1]: every dot product is exact
+    in float64 whatever the summation order, so equal similarities are real
+    ties, the same for BLAS and for the oracle's Python sums."""
+    return EmbeddingBatch(
+        vectors=rng.integers(-4, 5, size=(n, dim)) / 4.0,
+        labels=rng.integers(0, n_classes, size=n),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 40),
+    m=st.integers(2, 40),
+    dim=st.integers(1, 3),
+    n_classes=st.integers(1, 4),
+)
+def test_property_exact_on_ties(seed, n, m, dim, n_classes):
+    # tie-heavy inputs: the count of candidates ahead of the best positive must
+    # give exactly the recall of a full (similarity desc, index asc) sort
+    rng = np.random.default_rng(seed)
+    q = quarter_grid_batch(rng, n, dim, n_classes)
+    g = quarter_grid_batch(rng, m, dim, n_classes)
+    for gallery, exclude_self in ((q, True), (g, False)):
+        effective = gallery.n - 1 if exclude_self else gallery.n
+        ks = tuple(range(1, effective))
+        if not ks:
+            continue
+        expected = naive_recall(
+            q.vectors, q.labels, gallery.vectors, gallery.labels, ks, exclude_self=exclude_self
+        )
+        assert recall_at_k(q, gallery, ks) == expected
+
+
+class TestChunking:
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("single", [True, False])
+    def test_chunk_edges_do_not_change_the_result(self, monkeypatch, rows, single):
+        # single-set mode drops column lo + row of each chunk; chunks of 1 and
+        # 3 rows put that offset on every side of a chunk edge
+        rng = np.random.default_rng(17)
+        q = quarter_grid_batch(rng, 23, 2, 3)
+        g = q if single else quarter_grid_batch(rng, 19, 2, 3)
+        ks = (1, 2, 5, 10)
+        default = recall_at_k(q, g, ks)
+        monkeypatch.setattr(retrieval, "_CHUNK_BYTES", rows * 8 * g.n)
+        chunked = recall_at_k(q, g, ks)
+        expected = naive_recall(q.vectors, q.labels, g.vectors, g.labels, ks, exclude_self=single)
+        assert chunked == default == expected
+
+    def test_peak_memory_below_half_a_similarity_matrix(self):
+        # the full 4000 x 4000 float64 matrix is 122 MiB; recall holds only a
+        # budget's worth of rows of it at a time
+        q = batch(4000, 16, seed=0, n_classes=400)
+        g = batch(4000, 16, seed=1, n_classes=400)
+        tracemalloc.start()
+        try:
+            recall_at_k(q, g, (1, 10))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4000 * 4000 * 8 / 2

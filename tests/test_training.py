@@ -108,6 +108,20 @@ class TestTrainConfig:
         with pytest.raises(InvalidConfig):
             TrainConfig(**kwargs).validate()
 
+    @pytest.mark.parametrize(
+        "recall_ks,needle",
+        [
+            ((), "k values must be >= 1 and ascending"),
+            ((1, 1), "not strictly ascending"),
+            ((1, 10.0), "not all integers"),
+            ((5, 10), "recall_ks must start with 1"),
+            ((2,), "recall_ks must start with 1"),
+        ],
+    )
+    def test_invalid_recall_ks(self, recall_ks, needle):
+        with pytest.raises(InvalidConfig, match=needle):
+            TrainConfig(recall_ks=recall_ks).validate()
+
     def test_resolve_capacity(self):
         assert TrainConfig(memory_fraction=0.5).resolve_capacity(101) == 50
         assert TrainConfig(memory_fraction=1.0).resolve_capacity(7) == 7
