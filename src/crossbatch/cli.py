@@ -25,7 +25,6 @@ import numpy as np
 from .data import FeatureDataset, SyntheticConfig, generate_synthetic, load_features, save_features
 from .embedder import load_checkpoint, save_checkpoint
 from .errors import CrossbatchError, InvalidConfig
-from .kalman import KalmanConfig
 from .training import VARIANTS, MethodVariant, TrainConfig, TrainResult, evaluate, run_training
 
 __all__ = ["main", "entrypoint", "read_metrics", "read_csv_rows"]
@@ -171,18 +170,9 @@ def build_variant(settings: dict) -> MethodVariant:
     return variant
 
 
-def _for_variant(config: TrainConfig, variant: MethodVariant) -> TrainConfig:
-    """One variant's copy of a config shared by several runs.
-
-    Mixed-variant grids share one flag set; filter knobs passed for the
-    adaptive variant must not reach the others' runs.
-    """
-    return config if variant.stats_filter == "kalman" else replace(config, kalman=KalmanConfig())
-
-
-def _run_dir(root: Path, variant: MethodVariant, config: TrainConfig) -> Path:
+def _run_dir(root: Path, variant: MethodVariant, seed: int) -> Path:
     """<root>/<variant>/<seed>, the output directory of every training run."""
-    return root / str(variant) / str(config.seed)
+    return root / str(variant) / str(seed)
 
 
 def _echo_config(config: TrainConfig, variant: MethodVariant, dataset, path: Path) -> None:
@@ -263,7 +253,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     dataset = _load_dataset(settings)
     variant = build_variant(settings)
     config = build_train_config(settings)
-    out_dir = _run_dir(Path(args.out or default_out_root()), variant, config)
+    out_dir = _run_dir(Path(args.out or default_out_root()), variant, config.seed)
     result = _run_one(config, variant, settings["dataset"], dataset, out_dir)
     best = ", ".join(f"R@{k}={v:.4f}" for k, v in sorted(result.best_recall.items()))
     print(f"{variant} seed {result.config.seed}: best epoch {result.best_epoch}, {best}")
@@ -272,23 +262,25 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _sweep_cell(payload: dict) -> dict:
-    """One sweep run; returns a row dict. Top-level so process pools can pickle it.
+    """One grid run; returns a row dict. Top-level so process pools can pickle it.
 
-    A package error or an OSError (unreadable dataset, unwritable out dir)
-    fails this cell only; it is recorded in the row, never raised.
+    A package error or an OSError (invalid axis value, unreadable dataset,
+    unwritable out dir) fails this cell only; it is recorded in the row, never
+    raised.
     """
-    config, variant = payload["config"], payload["variant"]
+    settings, variant = payload["settings"], payload["variant"]
     row = {
         "axis": payload["axis"],
         "axis_value": payload["axis_value"],
         "variant": variant.spec,
-        "seed": config.seed,
+        "seed": settings["seed"],
         "status": "ok",
         "error": "",
     }
     try:
-        dataset = load_features(payload["dataset"])
-        result = _run_one(config, variant, payload["dataset"], dataset, Path(payload["out_dir"]))
+        config = build_train_config(settings)
+        dataset = load_features(settings["dataset"])
+        result = _run_one(config, variant, settings["dataset"], dataset, Path(payload["out_dir"]))
     except (CrossbatchError, OSError) as exc:
         row["status"] = "failed"
         row["error"] = str(exc)
@@ -299,46 +291,45 @@ def _sweep_cell(payload: dict) -> dict:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    """Run the grid of axis values x variants x seeds; drift is this grid without an axis."""
+    if args.workers < 1:
+        raise InvalidConfig(f"--workers must be >= 1, got {args.workers}")
     settings = resolve_settings(args)
     _load_dataset(settings)  # fail fast on a bad path before launching workers
-    axis_key = args.axis.replace("-", "_")
-    try:
-        values = [
-            int(v) if axis_key == "batch_size" else float(v) for v in args.values.split(",")
-        ]
-        seeds = [int(s) for s in args.seeds.split(",")]
-    except ValueError:
-        raise InvalidConfig(
-            f"sweep values and seeds must be numeric, got {args.values!r} / {args.seeds!r}"
-        ) from None
-    variants = [MethodVariant.parse(name) for name in args.variants.split(",")]
-    if not values or not variants or not seeds:
-        raise InvalidConfig("sweep needs at least one value, variant, and seed")
-    out_root = Path(args.out or default_out_root())
     config = build_train_config(settings)
+    key = args.axis.replace("-", "_") if args.axis else None
+    values = [None] if key is None else [_coerce(key, v) for v in args.values.split(",")]
+    seeds = [config.seed] if args.seeds is None else [
+        _coerce("seed", s) for s in args.seeds.split(",")
+    ]
+    variants = [MethodVariant.parse(name) for name in args.variants.split(",")]
+    out_root = Path(args.out or default_out_root())
     ks = config.recall_ks
 
     cells = []
     for value in values:
+        # every digit of the value, so distinct values never share a directory
+        root = out_root if key is None else (
+            out_root / f"{args.axis}-{np.format_float_positional(value, trim='-')}"
+        )
         for variant in variants:
             for seed in seeds:
-                changes = {axis_key: value, "seed": seed}
-                if axis_key == "memory_fraction":
-                    changes["memory_capacity"] = None  # the swept fraction must win
-                cell = replace(_for_variant(config, variant), **changes)
-                out_dir = _run_dir(out_root / f"{args.axis}-{value:g}", variant, cell)
-                cells.append({"config": cell, "variant": variant, "dataset": settings["dataset"],
-                              "axis": args.axis, "axis_value": value, "out_dir": str(out_dir)})
+                cell = {**settings, key: value, "seed": seed}  # key None is ignored
+                if key == "memory_fraction":
+                    cell["memory_capacity"] = None  # the swept fraction must win
+                cells.append({"settings": cell, "variant": variant, "axis": args.axis,
+                              "axis_value": value, "out_dir": str(_run_dir(root, variant, seed))})
 
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    workers = min(args.workers, len(cells), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_cell, cells))
     else:
         rows = [_sweep_cell(cell) for cell in cells]
 
-    run_fields = ["axis", "axis_value", "variant", "seed", "status", "error"] + [
-        f"r_at_{k}" for k in ks
-    ]
+    out_root.mkdir(parents=True, exist_ok=True)  # no run may have made it
+    cell_fields = ["axis", "axis_value", "variant", "seed"]
+    run_fields = cell_fields + ["status", "error"] + [f"r_at_{k}" for k in ks]
     _write_csv(out_root / "sweep_runs.csv", run_fields, rows)
 
     agg_rows = []
@@ -360,38 +351,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ]
     _write_csv(out_root / "sweep_summary.csv", agg_fields, agg_rows)
 
+    drift_rows = [  # the epoch records of each ok run, read back from its metrics file
+        {**{f: row[f] for f in cell_fields}, "epoch": e["epoch"], "mean_drift": e["mean_drift"],
+         "max_drift": e["max_drift"], "val_r_at_1": e["recall"].get("1", "")}
+        for cell, row in zip(cells, rows)
+        if row["status"] == "ok"
+        for e in read_metrics(Path(cell["out_dir"]) / "metrics.jsonl")[1]
+    ]
+    drift_fields = cell_fields + ["epoch", "mean_drift", "max_drift", "val_r_at_1"]
+    _write_csv(out_root / "drift.csv", drift_fields, drift_rows)
+
     failed = [r for r in rows if r["status"] != "ok"]
     print(f"sweep complete: {len(rows) - len(failed)}/{len(rows)} runs ok")
-    print(f"tables in {out_root / 'sweep_runs.csv'} and {out_root / 'sweep_summary.csv'}")
+    print(f"tables sweep_runs.csv, sweep_summary.csv and drift.csv in {out_root}")
     for r in failed:
-        print(f"failed: {r['axis']}={r['axis_value']} {r['variant']} seed {r['seed']}: {r['error']}")
+        where = "" if key is None else f"{r['axis']}={r['axis_value']} "
+        print(f"failed: {where}{r['variant']} seed {r['seed']}: {r['error']}")
     return 1 if failed else 0
-
-
-def cmd_drift(args: argparse.Namespace) -> int:
-    settings = resolve_settings(args)
-    dataset = _load_dataset(settings)
-    config = replace(build_train_config(settings), probe_drift=True)
-    out_root = Path(args.out or default_out_root())
-    rows = []
-    for variant in [MethodVariant.parse(name) for name in args.variants.split(",")]:
-        cell = _for_variant(config, variant)
-        out_dir = _run_dir(out_root, variant, cell)
-        result = _run_one(cell, variant, settings["dataset"], dataset, out_dir)
-        for record in result.epoch_records:
-            rows.append(
-                {
-                    "epoch": record.epoch,
-                    "variant": variant.spec,
-                    "mean_drift": record.mean_drift,
-                    "max_drift": record.max_drift,
-                    "val_r_at_1": record.recall.get(1, ""),
-                }
-            )
-    path = out_root / "drift.csv"
-    _write_csv(path, ["epoch", "variant", "mean_drift", "max_drift", "val_r_at_1"], rows)
-    print(f"drift table in {path}")
-    return 0
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -445,17 +421,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="grid of runs over one axis x variants x seeds")
     _add_run_flags(p_sweep)
-    p_sweep.add_argument("--axis", required=True, choices=["batch-size", "memory-fraction"])
+    axes = [k.replace("_", "-") for k, (_, parse) in _SETTINGS.items()
+            if parse in (int, float) and k != "seed"]
+    p_sweep.add_argument("--axis", required=True, choices=axes, help="the scalar setting to vary")
     p_sweep.add_argument("--values", required=True, help="comma-separated axis values")
     p_sweep.add_argument("--variants", required=True, help="comma-separated variant names")
     p_sweep.add_argument("--seeds", required=True, help="comma-separated seeds")
-    p_sweep.add_argument("--workers", type=int, default=1)
+    p_sweep.add_argument("--workers", type=int, default=1,
+                         help="worker processes, at most one per run and per CPU")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_drift = sub.add_parser("drift", help="per-epoch drift curves for several variants")
+    p_drift = sub.add_parser("drift", help="per-epoch drift curves: the sweep without an axis")
     _add_run_flags(p_drift)
     p_drift.add_argument("--variants", required=True, help="comma-separated variant names")
-    p_drift.set_defaults(func=cmd_drift)
+    p_drift.set_defaults(func=cmd_sweep, axis=None, values=None, seeds=None, workers=1)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     p_eval.add_argument("--checkpoint", required=True)

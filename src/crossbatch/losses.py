@@ -31,9 +31,6 @@ __all__ = [
     "xbm_loss",
 ]
 
-XBM_VARIANTS = ("no-xbm", "xbm", "xbm-star")
-
-
 @dataclass(frozen=True)
 class PairMinerConfig:
     """Margins, in cosine-distance units, for pair selection and the hinges."""
@@ -244,9 +241,6 @@ def xbm_loss(
     followed by the batch. xbm-star: sum of the two. The bank is read, never
     modified; enqueueing and adaptation are the trainer's job before this call.
     """
-    if variant not in XBM_VARIANTS:
-        raise InvalidConfig(f"variant must be one of {XBM_VARIANTS}, got {variant!r}")
-
     def minibatch_only() -> LossOutput:
         pairs = mine_pairs(batch, batch, cfg, self_offset=0)
         return contrastive_loss(batch, batch, pairs, cfg)
@@ -260,4 +254,6 @@ def xbm_loss(
         return minibatch_only()
     if variant == "xbm":
         return with_memory()
-    return minibatch_only() + with_memory()
+    if variant == "xbm-star":
+        return minibatch_only() + with_memory()
+    raise InvalidConfig(f"variant must be one of no-xbm, xbm, xbm-star, got {variant!r}")

@@ -426,6 +426,93 @@ class TestSweep:
         assert code == 2
         assert "numeric" in capsys.readouterr().err
 
+    def sweep(self, data_file, out, *extra):
+        return main(["sweep", "--dataset", str(data_file), "--out", str(out), *FAST, *extra])
+
+    def test_axes_are_the_scalar_settings(self, capsys):
+        axes = [
+            "batch-size", "samples-per-class", "memory-fraction", "memory-capacity", "epochs",
+            "warmup-epochs", "embed-dim", "lr", "weight-decay", "schedule-gamma",
+            "schedule-every", "warmup-lr", "pos-margin", "neg-margin", "q", "p0", "r",
+            "gain-interval",
+        ]
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["sweep", "--help"])
+        assert "{" + ",".join(axes) + "}" in "".join(capsys.readouterr().out.split())
+
+    @pytest.mark.parametrize("axis", ["seed", "hidden-dims"])
+    def test_non_axis_settings_rejected(self, tmp_path, data_file, axis):
+        with pytest.raises(SystemExit) as exc:
+            self.sweep(data_file, tmp_path, "--axis", axis, "--values", "1",
+                       "--variants", "xbm", "--seeds", "0")
+        assert exc.value.code == 2
+
+    def test_r_axis_keeps_the_xbn_identity(self, tmp_path, data_file):
+        out = tmp_path / "sweep"
+        assert self.sweep(data_file, out, "--axis", "r", "--values", "0,1",
+                          "--variants", "xbn,axbn", "--seeds", "0") == 0
+
+        def metrics(value, variant):
+            return (out / f"r-{value}" / variant / "0" / "metrics.jsonl").read_bytes()
+
+        assert metrics(0, "axbn") == metrics(0, "xbn")  # axbn at r=0 is xbn step for step
+        assert metrics(1, "xbn") == metrics(0, "xbn")  # r does not reach xbn
+        assert metrics(1, "axbn") != metrics(0, "axbn")
+
+    def test_distinct_values_get_distinct_directories(self, tmp_path, data_file):
+        out = tmp_path / "sweep"
+        values = ["0.5000001", "0.5000002"]
+        assert self.sweep(data_file, out, "--axis", "memory-fraction", "--values", ",".join(values),
+                          "--variants", "xbm", "--seeds", "0") == 0
+        for value in values:
+            config = read_config_file(out / f"memory-fraction-{value}" / "xbm" / "0" / "config.txt")
+            assert config["memory_fraction"] == value
+
+    def test_drift_table_has_every_epoch_of_ok_runs(self, tmp_path, data_file):
+        out = tmp_path / "sweep"
+        assert self.sweep(data_file, out, "--axis", "batch-size", "--values", "6,7",  # 7 fails
+                          "--variants", "xbm", "--seeds", "0,1") == 1
+        rows = read_csv_rows(out / "drift.csv")
+        assert [(r["axis_value"], r["seed"], r["epoch"]) for r in rows] == [
+            ("6", seed, epoch) for seed in "01" for epoch in "012"
+        ]
+        assert {r["axis"] for r in rows} == {"batch-size"}
+
+    @pytest.mark.parametrize(  # 3 runs; pooled is the pool size, None runs them serially
+        "workers,cpus,pooled", [(64, 4, 3), (64, 2, 2), (64, 1, None), (2, 4, 2), (1, 4, None)]
+    )
+    def test_workers_capped_by_runs_and_cpus(
+        self, tmp_path, data_file, monkeypatch, workers, cpus, pooled
+    ):
+        created = []
+
+        class RecordingPool:  # runs the cells in this process
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        assert self.sweep(data_file, tmp_path / "sweep", "--axis", "batch-size",
+                          "--values", "6", "--variants", "no-xbm,xbm,xbn", "--seeds", "0",
+                          "--workers", str(workers)) == 0
+        assert created == ([] if pooled is None else [pooled])
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_exit_2(self, tmp_path, data_file, capsys, workers):
+        code = self.sweep(data_file, tmp_path, "--axis", "batch-size", "--values", "6",
+                          "--variants", "xbm", "--seeds", "0", "--workers", workers)
+        assert code == 2
+        assert "--workers must be >= 1" in capsys.readouterr().err
+
 
 class TestDrift:
     def test_per_epoch_rows(self, tmp_path, data_file):
@@ -445,6 +532,43 @@ class TestDrift:
         for name in ("no-xbm", "xbn"):
             epochs = [int(r["epoch"]) for r in rows if r["variant"] == name]
             assert epochs == [0, 1, 2]
+
+    def test_failed_variant_keeps_its_siblings_rows(self, tmp_path, data_file, capsys):
+        out = tmp_path / "drift"
+        code = main([
+            "drift", "--dataset", str(data_file), "--out", str(out), *FAST,
+            "--variants", "no-xbm,xbm", "--memory-capacity", "3",  # < batch 6 fails xbm
+        ])
+        assert code == 1
+        failed = [line for line in capsys.readouterr().out.splitlines() if "failed:" in line]
+        assert len(failed) == 1
+        assert failed[0].startswith("failed: xbm seed 0: memory capacity 3")
+        rows = read_csv_rows(out / "drift.csv")
+        assert [(r["variant"], r["epoch"]) for r in rows] == [("no-xbm", e) for e in "012"]
+
+    def test_kalman_knob_reaches_every_variant(self, tmp_path, data_file, capsys):
+        out = tmp_path / "drift"
+        code = main([
+            "drift", "--dataset", str(data_file), "--out", str(out), *FAST,
+            "--variants", "xbm,axbn", "--r", "-1",  # every run fails validation
+        ])
+        assert code == 1
+        failed = [line for line in capsys.readouterr().out.splitlines() if "failed:" in line]
+        assert [line.split(":")[1] for line in failed] == [" xbm seed 0", " axbn seed 0"]
+        assert {r["status"] for r in read_csv_rows(out / "sweep_runs.csv")} == {"failed"}
+        assert read_csv_rows(out / "drift.csv") == []
+
+    def test_no_drift_leaves_drift_columns_empty(self, tmp_path, data_file):
+        out = tmp_path / "drift"
+        code = main([
+            "drift", "--dataset", str(data_file), "--out", str(out), *FAST,
+            "--variants", "xbn", "--no-drift",
+        ])
+        assert code == 0
+        rows = read_csv_rows(out / "drift.csv")
+        assert len(rows) == 3
+        assert all(r["mean_drift"] == r["max_drift"] == "" for r in rows)
+        assert all(r["val_r_at_1"] for r in rows)
 
 
 class TestEval:
