@@ -25,7 +25,7 @@ import numpy as np
 from .data import FeatureDataset, SyntheticConfig, generate_synthetic, load_features, save_features
 from .embedder import load_checkpoint, save_checkpoint
 from .errors import CrossbatchError, InvalidConfig
-from .training import VARIANTS, MethodVariant, TrainConfig, TrainResult, evaluate, run_training
+from .training import VARIANTS, MethodVariant, TrainConfig, TrainingRun, TrainResult, evaluate
 
 __all__ = ["main", "entrypoint", "read_metrics", "read_csv_rows"]
 
@@ -175,7 +175,7 @@ def _run_dir(root: Path, variant: MethodVariant, seed: int) -> Path:
     return root / str(variant) / str(seed)
 
 
-def _echo_config(config: TrainConfig, variant: MethodVariant, dataset, path: Path) -> None:
+def _config_text(config: TrainConfig, variant: MethodVariant, dataset) -> str:
     """The resolved settings, as a config file that replays the run from any directory."""
     dataset = os.path.abspath(dataset)
     values = {"variant": variant.spec, "dataset": dataset}
@@ -184,9 +184,9 @@ def _echo_config(config: TrainConfig, variant: MethodVariant, dataset, path: Pat
         if value is not None and _applies(key, variant):
             values[key] = _format(value)
     text = "".join(f"{key} = {value}\n" for key, value in values.items())
-    if _parse_config(text, path) != values:
+    if _parse_config(text, "config.txt") != values:
         raise InvalidConfig(f"dataset path {dataset!r} cannot be written to a config file")
-    path.write_text(text)
+    return text
 
 
 def write_metrics(result: TrainResult, path: Path) -> None:
@@ -227,10 +227,12 @@ def _summary_row(result: TrainResult, seed: int) -> dict:
 
 def _run_one(config: TrainConfig, variant: MethodVariant, dataset_path,
              dataset: FeatureDataset, out_dir: Path) -> TrainResult:
-    config.validate()  # a rejected config leaves no run directory behind
+    # a run rejected by its trainer or its config file leaves no run directory behind
+    trainer = TrainingRun(config, dataset, variant)
+    config_text = _config_text(config, variant, dataset_path)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _echo_config(config, variant, dataset_path, out_dir / "config.txt")
-    result = run_training(config, dataset, variant)
+    (out_dir / "config.txt").write_text(config_text)
+    result = trainer.run()
     write_metrics(result, out_dir / "metrics.jsonl")
     _write_csv(
         out_dir / "summary.csv",
@@ -290,6 +292,13 @@ def _sweep_cell(payload: dict) -> dict:
     return row
 
 
+def _distinct(flag: str, items: list) -> None:
+    """Reject a grid list that names an entry twice: both cells would share one directory."""
+    repeated = [item for i, item in enumerate(items) if item in items[:i]]
+    if repeated:
+        raise InvalidConfig(f"{flag} lists {repeated[0]} more than once")
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Run the grid of axis values x variants x seeds; drift is this grid without an axis."""
     if args.workers < 1:
@@ -303,6 +312,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         _coerce("seed", s) for s in args.seeds.split(",")
     ]
     variants = [MethodVariant.parse(name) for name in args.variants.split(",")]
+    _distinct("--values", values)
+    _distinct("--variants", [variant.spec for variant in variants])
+    _distinct("--seeds", seeds)
     out_root = Path(args.out or default_out_root())
     ks = config.recall_ks
 
@@ -463,3 +475,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

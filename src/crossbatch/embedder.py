@@ -41,21 +41,36 @@ class MLPEmbedder:
     layer_dims = (input_dim, hidden..., output_dim). A single-element tuple is
     the zero-depth embedder: identity followed by normalization. Weights are
     initialized uniformly in [-1/sqrt(fan_in), 1/sqrt(fan_in)], biases at zero.
+
+    All parameters live in one float64 vector, params, in checkpoint order:
+    per layer the weight matrix (row-major), then the bias. weights and
+    biases are views into it, so update them in place, never rebind them.
     """
 
     def __init__(self, layer_dims, seed=0):
         dims = tuple(int(d) for d in layer_dims)
         if len(dims) < 1 or any(d < 1 for d in dims):
             raise InvalidConfig(f"layer_dims must be >= 1 positive sizes, got {layer_dims}")
-        self.layer_dims = dims
+        size = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims, dims[1:]))
+        self._bind(dims, np.zeros(size))
         rng = np.random.default_rng(seed)
+        for w in self.weights:
+            limit = 1.0 / math.sqrt(w.shape[0])
+            w[...] = rng.uniform(-limit, limit, size=w.shape)
+        self.frozen_below_last = False
+
+    def _bind(self, dims: tuple[int, ...], params: np.ndarray) -> None:
+        """Own params and point weights and biases at their slices of it."""
+        self.layer_dims = dims
+        self.params = params
         self.weights: list[np.ndarray] = []
         self.biases: list[np.ndarray] = []
+        offset = 0
         for fan_in, fan_out in zip(dims, dims[1:]):
-            limit = 1.0 / math.sqrt(fan_in)
-            self.weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-            self.biases.append(np.zeros(fan_out))
-        self.frozen_below_last = False
+            self.weights.append(params[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out))
+            offset += fan_in * fan_out
+            self.biases.append(params[offset : offset + fan_out])
+            offset += fan_out
 
     @property
     def n_layers(self) -> int:
@@ -82,6 +97,12 @@ class MLPEmbedder:
         if self.frozen_below_last:
             return range(self.n_layers - 1, self.n_layers)
         return range(self.n_layers)
+
+    def trainable_slice(self) -> slice:
+        """The part of params the trainable layers own: all of it, or the last layer's."""
+        first = self.trainable_layers().start
+        frozen = zip(self.weights[:first], self.biases[:first])
+        return slice(sum(w.size + b.size for w, b in frozen), None)
 
     def forward(self, inputs: np.ndarray) -> tuple[np.ndarray, dict]:
         """Embeddings plus the cache backward() needs.
@@ -146,22 +167,16 @@ class MLPEmbedder:
         return grads
 
     @classmethod
-    def _from_parameters(cls, layer_dims, weights, biases) -> "MLPEmbedder":
-        """An unfrozen embedder that owns the given arrays, without initializing new ones."""
+    def _from_vector(cls, layer_dims, params: np.ndarray) -> "MLPEmbedder":
+        """An unfrozen embedder that owns the given parameter vector, without initializing one."""
         embedder = cls.__new__(cls)
-        embedder.layer_dims = tuple(layer_dims)
-        embedder.weights = list(weights)
-        embedder.biases = list(biases)
+        embedder._bind(tuple(layer_dims), params)
         embedder.frozen_below_last = False
         return embedder
 
     def clone(self) -> "MLPEmbedder":
         """Deep copy of parameters and freeze state."""
-        other = MLPEmbedder._from_parameters(
-            self.layer_dims,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-        )
+        other = MLPEmbedder._from_vector(self.layer_dims, self.params.copy())
         other.frozen_below_last = self.frozen_below_last
         return other
 
@@ -209,20 +224,14 @@ class OptimizerConfig:
 
 
 class Optimizer:
-    """Per-layer update state for one embedder; respects its freeze flag."""
+    """Update state for one embedder, flat in its parameter order; respects its freeze flag."""
 
     def __init__(self, config: OptimizerConfig, embedder: MLPEmbedder):
         config.validate()
         self.config = config
         self.t = 0
-        self._m = [
-            (np.zeros_like(w), np.zeros_like(b))
-            for w, b in zip(embedder.weights, embedder.biases)
-        ]
-        self._v = [
-            (np.zeros_like(w), np.zeros_like(b))
-            for w, b in zip(embedder.weights, embedder.biases)
-        ]
+        self._m = np.zeros_like(embedder.params)
+        self._v = np.zeros_like(embedder.params)
 
     def step(
         self,
@@ -232,7 +241,9 @@ class Optimizer:
     ) -> None:
         """One in-place parameter update at the scheduled learning rate.
 
-        Frozen layers are skipped entirely: their parameters and state stay
+        The trainable layers' parameters are updated as one slice of the
+        parameter vector, each element by the same arithmetic as alone. Frozen
+        layers are skipped entirely: their parameters and state stay
         bit-identical.
         """
         if len(grads) != embedder.n_layers:
@@ -240,32 +251,39 @@ class Optimizer:
         cfg = self.config
         lr = cfg.lr_at(epoch)
         self.t += 1
+        part = embedder.trainable_slice()
+        param = embedder.params[part]
+        grad = np.empty_like(param)
+        offset = 0
         for idx in embedder.trainable_layers():
-            params = (embedder.weights[idx], embedder.biases[idx])
-            for slot, (param, grad) in enumerate(zip(params, grads[idx])):
-                if grad.shape != param.shape:
+            layer = (embedder.weights[idx], embedder.biases[idx])
+            for layer_param, layer_grad in zip(layer, grads[idx]):
+                if layer_grad.shape != layer_param.shape:
                     raise ShapeMismatch(
-                        f"gradient shape {grad.shape} != parameter shape {param.shape}"
+                        f"gradient shape {layer_grad.shape} != "
+                        f"parameter shape {layer_param.shape}"
                     )
-                if cfg.kind == "sgd":
-                    if cfg.weight_decay:
-                        grad = grad + cfg.weight_decay * param
-                    buf = self._m[idx][slot]
-                    buf *= cfg.momentum
-                    buf += grad
-                    param -= lr * buf
-                else:
-                    m = self._m[idx][slot]
-                    v = self._v[idx][slot]
-                    m *= cfg.beta1
-                    m += (1.0 - cfg.beta1) * grad
-                    v *= cfg.beta2
-                    v += (1.0 - cfg.beta2) * grad**2
-                    m_hat = m / (1.0 - cfg.beta1**self.t)
-                    v_hat = v / (1.0 - cfg.beta2**self.t)
-                    param -= lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
-                    if cfg.weight_decay:
-                        param -= lr * cfg.weight_decay * param
+                grad[offset : offset + layer_param.size] = layer_grad.ravel()
+                offset += layer_param.size
+        if cfg.kind == "sgd":
+            if cfg.weight_decay:
+                grad += cfg.weight_decay * param
+            buf = self._m[part]
+            buf *= cfg.momentum
+            buf += grad
+            param -= lr * buf
+        else:
+            m = self._m[part]
+            v = self._v[part]
+            m *= cfg.beta1
+            m += (1.0 - cfg.beta1) * grad
+            v *= cfg.beta2
+            v += (1.0 - cfg.beta2) * grad**2
+            m_hat = m / (1.0 - cfg.beta1**self.t)
+            v_hat = v / (1.0 - cfg.beta2**self.t)
+            param -= lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+            if cfg.weight_decay:
+                param -= lr * cfg.weight_decay * param
 
 
 def save_checkpoint(embedder: MLPEmbedder, path) -> None:
@@ -279,9 +297,7 @@ def save_checkpoint(embedder: MLPEmbedder, path) -> None:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<HHI", CHECKPOINT_VERSION, _FLAG_FLOAT64, len(embedder.layer_dims)))
         f.write(np.asarray(embedder.layer_dims, dtype="<u4").tobytes())
-        for w, b in zip(embedder.weights, embedder.biases):
-            f.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            f.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+        f.write(embedder.params.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path) -> MLPEmbedder:
@@ -305,19 +321,13 @@ def load_checkpoint(path) -> MLPEmbedder:
         raise FormatError("invalid layer dims", 12)
     # Check the file holds every claimed parameter before allocating any, so a
     # short file that claims huge layers fails without building them.
-    layers = []
+    start = offset
     for idx, (fan_in, fan_out) in enumerate(zip(dims, dims[1:])):
-        end = offset + (fan_in + 1) * fan_out * dtype.itemsize
-        if len(blob) < end:
+        offset += (fan_in + 1) * fan_out * dtype.itemsize
+        if len(blob) < offset:
             raise FormatError(f"truncated parameters for layer {idx}", len(blob))
-        layers.append((offset, fan_in, fan_out))
-        offset = end
     if offset != len(blob):
         raise FormatError("trailing bytes after parameters", offset)
-    weights, biases = [], []
-    for start, fan_in, fan_out in layers:
-        w = np.frombuffer(blob, dtype=dtype, count=fan_in * fan_out, offset=start)
-        weights.append(w.reshape(fan_in, fan_out).astype(np.float64))
-        b = np.frombuffer(blob, dtype=dtype, count=fan_out, offset=start + w.nbytes)
-        biases.append(b.astype(np.float64))
-    return MLPEmbedder._from_parameters(dims, weights, biases)
+    count = (offset - start) // dtype.itemsize
+    params = np.frombuffer(blob, dtype=dtype, count=count, offset=start).astype(np.float64)
+    return MLPEmbedder._from_vector(dims, params)

@@ -101,13 +101,15 @@ def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 def distance_matrix(batch_vectors: np.ndarray, reference_vectors: np.ndarray) -> np.ndarray:
     """Cosine distances, batch rows x reference rows."""
-    return 1.0 - batch_vectors @ reference_vectors.T
+    d = batch_vectors @ reference_vectors.T
+    return np.subtract(1.0, d, out=d)
 
 
-def _self_mask(n_batch: int, n_reference: int, self_offset: int) -> np.ndarray:
-    rows = np.arange(n_batch)[:, None]
-    cols = np.arange(n_reference)[None, :]
-    return cols == rows + self_offset
+def _drop_self_pairs(mask: np.ndarray, self_offset: int) -> np.ndarray:
+    """Clear, in place, the self-pairs (i, self_offset + i) that fall inside mask."""
+    rows = np.arange(max(-self_offset, 0), min(mask.shape[0], mask.shape[1] - self_offset))
+    mask[rows, rows + self_offset] = False
+    return mask
 
 
 def mine_pairs(
@@ -125,8 +127,7 @@ def mine_pairs(
     """
     d = distance_matrix(batch.vectors, reference.vectors)
     same = batch.labels[:, None] == reference.labels[None, :]
-    is_self = _self_mask(batch.n, reference.n, self_offset)
-    pos_mask = same & (d > cfg.pos_margin) & ~is_self
+    pos_mask = _drop_self_pairs(same & (d > cfg.pos_margin), self_offset)
     neg_mask = ~same & (d < cfg.neg_margin)
     return MinedPairs(pos_mask, neg_mask, d, self_offset, cfg)
 
@@ -176,16 +177,20 @@ def contrastive_loss(
         )
     if pairs.cfg != cfg:
         raise InvalidConfig(f"pairs were mined with {pairs.cfg}, not {cfg}")
-    pos_d = d[pairs.pos_mask]  # row-major, the order of pairs.positives
-    neg_d = d[pairs.neg_mask]
+    # row-major, the order of pairs.positives and pairs.negatives; positives
+    # are few, so they are taken by index
+    pos = np.flatnonzero(pairs.pos_mask)
+    pos_d = d.ravel()[pos]
+    neg_d = np.compress(pairs.neg_mask.ravel(), d.ravel())
     value = 0.0
-    weights = np.zeros_like(d)
+    # 0 - neg_mask / n_neg, then 1 / n_pos at the positives (the masks are disjoint)
+    weights = pairs.neg_mask * (1.0 / max(neg_d.size, 1))
+    np.subtract(0.0, weights, out=weights)
     if pos_d.size:
-        value += float((pos_d - cfg.pos_margin).mean())
-        weights += pairs.pos_mask / pos_d.size
+        value += float((pos_d - cfg.pos_margin).sum() / pos_d.size)
+        np.put(weights, pos, 1.0 / pos_d.size)
     if neg_d.size:
-        value += float((cfg.neg_margin - neg_d).mean())
-        weights -= pairs.neg_mask / neg_d.size
+        value += float((cfg.neg_margin - neg_d).sum() / neg_d.size)
     grad = _weights_to_grad(weights, batch.vectors, reference.vectors, pairs.self_offset)
     return LossOutput(value=value, grad=grad)
 
@@ -206,12 +211,12 @@ def triplet_loss(
         raise InvalidConfig(f"margin must be >= 0, got {margin}")
     d = distance_matrix(batch.vectors, reference.vectors)
     same = batch.labels[:, None] == reference.labels[None, :]
-    is_self = _self_mask(batch.n, reference.n, self_offset)
+    same_not_self = _drop_self_pairs(same.copy(), self_offset)
     weights = np.zeros_like(d)
     total = 0.0
     anchors_used = 0
     for i in range(batch.n):
-        pos_idx = np.where(same[i] & ~is_self[i])[0]
+        pos_idx = np.where(same_not_self[i])[0]
         neg_idx = np.where(~same[i])[0]
         if len(pos_idx) == 0 or len(neg_idx) == 0:
             continue

@@ -51,6 +51,13 @@ class EmbeddingBatch:
                 f"labels shape {self.labels.shape} does not match {self.vectors.shape[0]} rows"
             )
 
+    @classmethod
+    def _trusted(cls, vectors: np.ndarray, labels: np.ndarray) -> "EmbeddingBatch":
+        """A batch over arrays already known to pass __post_init__'s checks; skips them."""
+        batch = cls.__new__(cls)
+        batch.vectors, batch.labels = vectors, labels
+        return batch
+
     @property
     def n(self) -> int:
         return self.vectors.shape[0]
@@ -88,9 +95,26 @@ def compute_moments(batch: EmbeddingBatch) -> MomentStats:
     """
     if batch.n < 2:
         raise InsufficientSamples(f"moment computation needs >= 2 rows, got {batch.n}")
-    mean = batch.vectors.mean(axis=0)
-    std = np.maximum(EPS_STD, batch.vectors.std(axis=0))
+    centered = np.empty_like(batch.vectors)
+    mean, std = _moments_into(batch.vectors, centered, centered)
     return MomentStats(mean=mean, std=std, count=batch.n)
+
+
+def _moments_into(rows: np.ndarray, centered: np.ndarray, squares: np.ndarray):
+    """Mean and floored population std of rows, leaving rows - mean in centered.
+
+    The ufuncs run in numpy's own order for mean and std (sum, divide;
+    subtract, square, sum, divide, sqrt), so the results equal
+    rows.mean(axis=0) and rows.std(axis=0) bit for bit. squares is working
+    storage of rows' shape; it may be centered itself when the caller does
+    not need the differences.
+    """
+    n = rows.shape[0]
+    mean = np.add.reduce(rows, axis=0) / n
+    np.subtract(rows, mean, out=centered)
+    np.multiply(centered, centered, out=squares)
+    std = np.maximum(EPS_STD, np.sqrt(np.add.reduce(squares, axis=0) / n))
+    return mean, std
 
 
 def xbn_transform(

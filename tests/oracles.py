@@ -86,6 +86,45 @@ class FifoList:
         return [lab for _, lab in self.items]
 
 
+class PerArrayOptimizer:
+    """SGD/AdamW updating each weight and bias array on its own, with its own moments.
+
+    params is a list of independent arrays, updated in place; step() touches
+    only the arrays whose indices are in trainable.
+    """
+
+    def __init__(self, config, params):
+        self.config = config
+        self.t = 0
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+
+    def step(self, params, grads, trainable, epoch) -> None:
+        cfg = self.config
+        lr = cfg.lr_at(epoch)
+        self.t += 1
+        for idx in trainable:
+            param, grad = params[idx], grads[idx]
+            if cfg.kind == "sgd":
+                if cfg.weight_decay:
+                    grad = grad + cfg.weight_decay * param
+                buf = self.m[idx]
+                buf *= cfg.momentum
+                buf += grad
+                param -= lr * buf
+            else:
+                m, v = self.m[idx], self.v[idx]
+                m *= cfg.beta1
+                m += (1.0 - cfg.beta1) * grad
+                v *= cfg.beta2
+                v += (1.0 - cfg.beta2) * grad**2
+                m_hat = m / (1.0 - cfg.beta1**self.t)
+                v_hat = v / (1.0 - cfg.beta2**self.t)
+                param -= lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+                if cfg.weight_decay:
+                    param -= lr * cfg.weight_decay * param
+
+
 def brute_force_pairs(batch_vectors, batch_labels, ref_vectors, ref_labels,
                       pos_margin, neg_margin, self_offset):
     """Double loop over every (query, reference) pair with the margin predicates."""

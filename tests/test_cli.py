@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -429,6 +432,22 @@ class TestSweep:
     def sweep(self, data_file, out, *extra):
         return main(["sweep", "--dataset", str(data_file), "--out", str(out), *FAST, *extra])
 
+    @pytest.mark.parametrize("axis, values, variants, seeds, repeated", [
+        ("batch-size", "6,12,6", "xbm", "0", "--values lists 6 more"),
+        ("memory-fraction", "0.5,.5", "xbm", "0", "--values lists 0.5 more"),
+        ("batch-size", "6", "xbm,ema:0.5,ema:.5", "0", "--variants lists ema:0.5 more"),
+        ("batch-size", "6", "xbm", "1,0,1", "--seeds lists 1 more"),
+    ])
+    def test_repeated_entries_exit_2_before_any_run(
+        self, tmp_path, data_file, capsys, axis, values, variants, seeds, repeated
+    ):
+        out = tmp_path / "sweep"
+        code = self.sweep(data_file, out, "--axis", axis, "--values", values,
+                          "--variants", variants, "--seeds", seeds)
+        assert code == 2
+        assert repeated in capsys.readouterr().err
+        assert not out.exists()
+
     def test_axes_are_the_scalar_settings(self, capsys):
         axes = [
             "batch-size", "samples-per-class", "memory-fraction", "memory-capacity", "epochs",
@@ -545,6 +564,11 @@ class TestDrift:
         assert failed[0].startswith("failed: xbm seed 0: memory capacity 3")
         rows = read_csv_rows(out / "drift.csv")
         assert [(r["variant"], r["epoch"]) for r in rows] == [("no-xbm", e) for e in "012"]
+        # the rejected run left no directory; its sibling's run is complete
+        assert not (out / "xbm").exists()
+        assert sorted(p.name for p in (out / "no-xbm" / "0").iterdir()) == [
+            "checkpoint.xbnc", "config.txt", "metrics.jsonl", "summary.csv"
+        ]
 
     def test_kalman_knob_reaches_every_variant(self, tmp_path, data_file, capsys):
         out = tmp_path / "drift"
@@ -652,6 +676,20 @@ class TestGenData:
         assert ds.features.dtype == np.float32
         assert ds.n == 9 * 6
         assert "wrote 54 rows" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("module", ["crossbatch", "crossbatch.cli"])
+    def test_python_m_runs_the_command_line(self, tmp_path, module):
+        path = tmp_path / "d.xbnf"
+        src = Path(cli.__file__).resolve().parents[1]
+        path_entries = [str(src), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path_entries)}
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "gen-data", "--out", str(path), *GEN_FLAGS],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "wrote 54 rows" in proc.stdout
+        assert load_features(path).n == 54
 
     def test_default_f8(self, data_file):
         ds = load_features(data_file)

@@ -19,7 +19,7 @@ from crossbatch import (
     save_checkpoint,
     contrastive_loss,
 )
-from oracles import central_diff_param_grads, relative_grad_error
+from oracles import PerArrayOptimizer, central_diff_param_grads, relative_grad_error
 
 
 def tiny_net(dims=(3, 8, 4), seed=0):
@@ -161,6 +161,32 @@ class TestOptimizer:
     def test_invalid_kind(self):
         with pytest.raises(InvalidConfig):
             OptimizerConfig(kind="rmsprop").validate()
+
+    @pytest.mark.parametrize("config", [
+        OptimizerConfig(kind="sgd", learning_rate=0.05),
+        OptimizerConfig(kind="sgd", learning_rate=0.05, momentum=0.9, weight_decay=0.01),
+        OptimizerConfig(kind="adamw", learning_rate=1e-2),
+        OptimizerConfig(kind="adamw", learning_rate=1e-2, weight_decay=0.1,
+                        schedule_gamma=0.5, schedule_every=2),
+    ])
+    def test_matches_per_array_oracle_bit_for_bit(self, config):
+        # 50 steps, frozen below the last layer for the first 20
+        net = MLPEmbedder((5, 7, 6, 3), seed=11)
+        oracle_params = [p.copy() for pair in zip(net.weights, net.biases) for p in pair]
+        opt = Optimizer(config, net)
+        oracle = PerArrayOptimizer(config, oracle_params)
+        rng = np.random.default_rng(12)
+        net.freeze_all_but_last()
+        for step in range(50):
+            if step == 20:
+                net.unfreeze()
+            grads = [(rng.normal(size=w.shape), rng.normal(size=b.shape))
+                     for w, b in zip(net.weights, net.biases)]
+            epoch = step // 10
+            opt.step(net, grads, epoch)
+            trainable = [2 * layer + k for layer in net.trainable_layers() for k in (0, 1)]
+            oracle.step(oracle_params, [g for pair in grads for g in pair], trainable, epoch)
+            assert net.params.tobytes() == b"".join(p.tobytes() for p in oracle_params), step
 
 
 class TestFreeze:

@@ -301,6 +301,34 @@ class TestMinedPairsContract:
             assert [tuple(p) for p in idx] == sorted(map(tuple, idx))
             assert mask[idx[:, 0], idx[:, 1]].all()
 
+    @pytest.mark.parametrize("rows, offset", [
+        (slice(None), 0),  # the batch is the reference
+        (slice(None), 5),  # the batch follows five other rows
+        (slice(0, 3), 5),  # only its first three rows are in the reference
+        (slice(2, None), -2),  # its first two rows are cut off
+        (slice(None), 9),  # no batch row is in the reference
+    ])
+    def test_only_the_positional_self_pair_is_excluded(self, rows, offset):
+        # rows of norm 1/2 sit 0.75 from themselves, so an unexcluded self-pair
+        # would be mined as a positive
+        rng = np.random.default_rng(74)
+        vectors = 0.5 * unit_rows(6, 3, seed=74)
+        labels = rng.integers(0, 2, size=6)
+        batch = EmbeddingBatch(vectors=vectors, labels=labels)
+        extra = 0.5 * unit_rows(5, 3, seed=75)
+        front = extra if offset > 0 else extra[:0]
+        reference = EmbeddingBatch(
+            vectors=np.concatenate([front, vectors[rows]]),
+            labels=np.concatenate([rng.integers(0, 2, size=len(front)), labels[rows]]),
+        )
+        pairs = mine_pairs(batch, reference, CFG, self_offset=offset)
+        want_pos, want_neg = brute_force_pairs(
+            vectors, labels, reference.vectors, reference.labels,
+            CFG.pos_margin, CFG.neg_margin, offset,
+        )
+        assert [tuple(p) for p in pairs.positives] == want_pos
+        assert [tuple(p) for p in pairs.negatives] == want_neg
+
     def test_pairs_from_another_reference_rejected(self):
         batch = unit_batch(4, 3, seed=71)
         reference = unit_batch(7, 3, seed=72)

@@ -124,13 +124,14 @@ class TestAdapt:
         np.testing.assert_array_equal(bank.labels, want.labels)
 
     def test_rebinds_instead_of_writing_in_place(self):
+        # adapt writes into the bank's other buffer: rows viewed before it stay intact
         bank = self._filled()
-        vectors, labels = bank.state()
+        vectors, labels = bank.vectors, bank.labels
         snapshot = vectors.copy()
         bank.adapt(MomentStats(mean=np.ones(4), std=np.full(4, 3.0), count=12))
-        assert bank.vectors is not vectors
+        assert not np.shares_memory(bank.vectors, vectors)
         np.testing.assert_array_equal(vectors, snapshot)
-        assert bank.labels is labels
+        assert np.shares_memory(bank.labels, labels)
 
     def test_target_dim_mismatch(self):
         bank = self._filled()
@@ -164,15 +165,31 @@ class TestReferenceSet:
 
 class TestStateRestore:
     def test_round_trip(self):
+        # what a failed training step does between state() and restore()
         bank = MemoryBank(capacity=8, dim=2)
         bank.enqueue(batch_of(rows(4, 2, seed=1), np.arange(4)))
         saved = bank.state()
         vectors_before = bank.vectors.copy()
-        bank.enqueue(batch_of(rows(6, 2, seed=2), np.arange(6)))
         bank.adapt(MomentStats(mean=np.zeros(2), std=np.ones(2), count=4))
+        bank.reference_set(batch_of(rows(6, 2, seed=2), np.arange(6)))
         bank.restore(saved)
         np.testing.assert_array_equal(bank.vectors, vectors_before)
+        np.testing.assert_array_equal(bank.labels, np.arange(4))
         assert len(bank) == 4
+
+    def test_only_one_adapt_can_be_undone(self):
+        target = MomentStats(mean=np.zeros(2), std=np.ones(2), count=4)
+        for after in (
+            lambda bank: bank.enqueue(batch_of(rows(2, 2, seed=3))),
+            lambda bank: (bank.adapt(target), bank.enqueue(batch_of(rows(2, 2, seed=3)))),
+            lambda bank: (bank.adapt(target), bank.adapt(target)),
+        ):
+            bank = MemoryBank(capacity=8, dim=2)
+            bank.enqueue(batch_of(rows(4, 2, seed=1), np.arange(4)))
+            saved = bank.state()
+            after(bank)
+            with pytest.raises(ValueError, match="one adapt"):
+                bank.restore(saved)
 
 
 @st.composite
@@ -201,3 +218,50 @@ def test_property_matches_list_fifo(case):
         assert len(bank) == len(sim.items)
         np.testing.assert_allclose(bank.vectors, np.array(sim.vectors()).reshape(-1, 3))
         np.testing.assert_array_equal(bank.labels, sim.labels())
+
+
+def _model_batch(sim: FifoList, dim: int) -> EmbeddingBatch:
+    return EmbeddingBatch(np.array(sim.vectors(), dtype=np.float64).reshape(-1, dim), sim.labels())
+
+
+@given(
+    capacity=st.integers(min_value=0, max_value=12),
+    dim=st.integers(min_value=1, max_value=4),
+    ops=st.lists(
+        st.tuples(st.sampled_from(["enqueue", "adapt", "reference_set", "failed_step"]),
+                  st.integers(min_value=0, max_value=9)),
+        max_size=14,
+    ),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+@settings(max_examples=120, deadline=None)
+def test_property_interleaved_operations_match_models(capacity, dim, ops, seed):
+    # the bank against a list FIFO whose adaptation is xbn_transform, bit for bit
+    rng = np.random.default_rng(seed)
+    bank = MemoryBank(capacity=capacity, dim=dim)
+    sim = FifoList(capacity)
+    for op, size in ops:
+        batch = batch_of(rng.normal(size=(size, dim)), rng.integers(0, 5, size=size))
+        target = MomentStats(mean=rng.normal(size=dim), std=rng.uniform(0.1, 2.0, dim), count=2)
+        if op == "enqueue":
+            bank.enqueue(batch)
+            sim.push_batch(batch.vectors, batch.labels)
+        elif op == "adapt" and len(bank) >= 2:
+            bank.adapt(target)
+            stored = _model_batch(sim, dim)
+            adapted = xbn_transform(stored, compute_moments(stored), target)
+            sim.items = list(zip(map(tuple, adapted.vectors.tolist()), sim.labels()))
+        elif op == "reference_set":
+            ref = bank.reference_set(batch)
+            want = _model_batch(sim, dim)
+            assert ref.vectors.tobytes() == np.concatenate([want.vectors, batch.vectors]).tobytes()
+            np.testing.assert_array_equal(ref.labels, np.concatenate([want.labels, batch.labels]))
+        elif op == "failed_step":  # state, adapt, reference set, restore
+            saved = bank.state()
+            if len(bank) >= 2:
+                bank.adapt(target)
+            bank.reference_set(batch)
+            bank.restore(saved)
+        want = _model_batch(sim, dim)
+        assert bank.vectors.tobytes() == want.vectors.tobytes()
+        np.testing.assert_array_equal(bank.labels, want.labels)

@@ -53,6 +53,20 @@ class TestComputeMoments:
             compute_moments(batch_of([(1.0, 2.0)]))
 
 
+@given(
+    n=st.integers(min_value=2, max_value=1100),
+    d=st.integers(min_value=1, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_property_moments_equal_numpy_mean_and_std_bitwise(n, d, seed):
+    rng = np.random.default_rng(seed)
+    vectors = rng.normal(size=(n, d)) * rng.uniform(1e-3, 5.0, d) + rng.uniform(-3.0, 3.0, d)
+    stats = compute_moments(batch_of(vectors))
+    assert stats.mean.tobytes() == vectors.mean(axis=0).tobytes()
+    assert stats.std.tobytes() == np.maximum(EPS_STD, vectors.std(axis=0)).tobytes()
+
+
 class TestEmbeddingBatchValidation:
     def test_nan_rejected(self):
         with pytest.raises(NonFiniteInput):

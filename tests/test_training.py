@@ -359,30 +359,37 @@ class TestTrainingLoop:
             small_config(warmup_epochs=0), dataset, MethodVariant("axbn")
         )
         batches = run.epoch_batches()
-        for idx in batches[:3]:
-            run.train_step(idx)
-        bank_len = len(run.bank)
-        bank_vecs = run.bank.vectors.copy()
-        kalman_before = run.kalman_state
-        step_before = run.global_step
-        weights_before = [w.copy() for w in run.embedder.weights]
-        n_records = len(run.iterations)
 
         def poisoned(batch, bank, cfg, kind):
+            bank.reference_set(batch)  # writes the batch after the stored rows
             return LossOutput(value=float("nan"), grad=np.zeros_like(batch.vectors))
 
-        monkeypatch.setattr(training_module, "xbm_loss", poisoned)
-        with pytest.raises(NonFiniteLoss) as err:
-            run.train_step(batches[3])
-        assert err.value.step == step_before
+        # 24 train rows fill the bank after 3 steps; 2 more wrap it past its capacity
+        for n_steps in (3, 2):
+            for idx in batches[:n_steps]:
+                run.train_step(idx)
+            assert len(run.bank) == run.bank.capacity == 24
+            bank_vecs = run.bank.vectors.tobytes()
+            bank_labels = run.bank.labels.tobytes()
+            kalman_before = run.kalman_state
+            step_before = run.global_step
+            weights_before = [w.copy() for w in run.embedder.weights]
+            n_records = len(run.iterations)
 
-        assert len(run.bank) == bank_len
-        np.testing.assert_array_equal(run.bank.vectors, bank_vecs)
-        assert run.kalman_state is kalman_before
-        assert run.global_step == step_before
-        assert len(run.iterations) == n_records
-        for w, w0 in zip(run.embedder.weights, weights_before):
-            np.testing.assert_array_equal(w, w0)
+            with monkeypatch.context() as patch:
+                patch.setattr(training_module, "xbm_loss", poisoned)
+                with pytest.raises(NonFiniteLoss) as err:
+                    run.train_step(batches[n_steps])
+            assert err.value.step == step_before
+
+            assert len(run.bank) == 24
+            assert run.bank.vectors.tobytes() == bank_vecs
+            assert run.bank.labels.tobytes() == bank_labels
+            assert run.kalman_state is kalman_before
+            assert run.global_step == step_before
+            assert len(run.iterations) == n_records
+            for w, w0 in zip(run.embedder.weights, weights_before):
+                np.testing.assert_array_equal(w, w0)
 
     def test_drift_probe_disabled(self, dataset):
         cfg = small_config(probe_drift=False, warmup_epochs=0, epochs=1)
