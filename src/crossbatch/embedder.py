@@ -57,20 +57,25 @@ class MLPEmbedder:
         for w in self.weights:
             limit = 1.0 / math.sqrt(w.shape[0])
             w[...] = rng.uniform(-limit, limit, size=w.shape)
-        self.frozen_below_last = False
 
     def _bind(self, dims: tuple[int, ...], params: np.ndarray) -> None:
         """Own params and point weights and biases at their slices of it."""
         self.layer_dims = dims
         self.params = params
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
+        layers = self.layers(params)
+        self.weights = [w for w, _ in layers]
+        self.biases = [b for _, b in layers]
+
+    def layers(self, vector: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per-layer (weight, bias) views of a vector laid out like params."""
+        views = []
         offset = 0
-        for fan_in, fan_out in zip(dims, dims[1:]):
-            self.weights.append(params[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out))
+        for fan_in, fan_out in zip(self.layer_dims, self.layer_dims[1:]):
+            w = vector[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
             offset += fan_in * fan_out
-            self.biases.append(params[offset : offset + fan_out])
+            views.append((w, vector[offset : offset + fan_out]))
             offset += fan_out
+        return views
 
     @property
     def n_layers(self) -> int:
@@ -83,26 +88,6 @@ class MLPEmbedder:
     @property
     def embed_dim(self) -> int:
         return self.layer_dims[-1]
-
-    def freeze_all_but_last(self) -> None:
-        """Restrict optimizer updates to the final projection layer."""
-        if self.n_layers < 1:
-            raise InvalidConfig("zero-depth embedder has no layers to freeze")
-        self.frozen_below_last = True
-
-    def unfreeze(self) -> None:
-        self.frozen_below_last = False
-
-    def trainable_layers(self) -> range:
-        if self.frozen_below_last:
-            return range(self.n_layers - 1, self.n_layers)
-        return range(self.n_layers)
-
-    def trainable_slice(self) -> slice:
-        """The part of params the trainable layers own: all of it, or the last layer's."""
-        first = self.trainable_layers().start
-        frozen = zip(self.weights[:first], self.biases[:first])
-        return slice(sum(w.size + b.size for w, b in frozen), None)
 
     def forward(self, inputs: np.ndarray) -> tuple[np.ndarray, dict]:
         """Embeddings plus the cache backward() needs.
@@ -143,8 +128,9 @@ class MLPEmbedder:
         z, _ = self.forward(inputs)
         return z
 
-    def backward(self, cache: dict, grad_z: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Parameter gradients (dW, db) per layer for d(loss)/d(embeddings) = grad_z.
+    def backward(self, cache: dict, grad_z: np.ndarray) -> np.ndarray:
+        """Gradient of the loss w.r.t. params, laid out like params, for
+        d(loss)/d(embeddings) = grad_z; layers() views it per layer.
 
         Exact chain rule through the normalization: with s = sqrt(|u|^2 + eps),
         dL/du = g/s - u (u.g)/s^3, i.e. the scaled projection that annihilates
@@ -156,47 +142,49 @@ class MLPEmbedder:
             raise ShapeMismatch(f"grad_z shape {grad_z.shape} != embeddings shape {u.shape}")
         radial = (u * grad_z).sum(axis=1) / s**3
         g = grad_z / s[:, None] - u * radial[:, None]
-        grads: list[tuple[np.ndarray, np.ndarray]] = [None] * self.n_layers  # type: ignore
+        grad = np.empty_like(self.params)
+        layers = self.layers(grad)
         for idx in range(self.n_layers - 1, -1, -1):
             a_in = cache["layer_inputs"][idx]
             if a_in.shape[0] != grad_z.shape[0]:
                 raise ShapeMismatch("cache does not match grad_z batch size")
-            grads[idx] = (a_in.T @ g, g.sum(axis=0))
+            dw, db = layers[idx]
+            np.matmul(a_in.T, g, out=dw)
+            g.sum(axis=0, out=db)
             if idx > 0:
                 g = (g @ self.weights[idx].T) * cache["relu_masks"][idx - 1]
-        return grads
+        return grad
 
     @classmethod
     def _from_vector(cls, layer_dims, params: np.ndarray) -> "MLPEmbedder":
-        """An unfrozen embedder that owns the given parameter vector, without initializing one."""
+        """An embedder that owns the given parameter vector, without initializing one."""
         embedder = cls.__new__(cls)
         embedder._bind(tuple(layer_dims), params)
-        embedder.frozen_below_last = False
         return embedder
 
     def clone(self) -> "MLPEmbedder":
-        """Deep copy of parameters and freeze state."""
-        other = MLPEmbedder._from_vector(self.layer_dims, self.params.copy())
-        other.frozen_below_last = self.frozen_below_last
-        return other
+        """Deep copy of the parameters."""
+        return MLPEmbedder._from_vector(self.layer_dims, self.params.copy())
+
+
+# AdamW's moment decay rates and denominator guard, fixed at the usual values.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Update rule plus step learning-rate schedule.
 
-    kind "sgd" (optional heavy-ball momentum, conventional coupled weight
-    decay) or "adamw" (decoupled weight decay). The schedule multiplies the
-    learning rate by schedule_gamma every schedule_every epochs;
-    schedule_every 0 disables decay.
+    kind "sgd" (plain, conventional coupled weight decay) or "adamw"
+    (decoupled weight decay, ADAM_BETA1/ADAM_BETA2/ADAM_EPS). The schedule
+    multiplies the learning rate by schedule_gamma every schedule_every
+    epochs; schedule_every 0 disables decay.
     """
 
     kind: str = "adamw"
     learning_rate: float = 1e-4
-    momentum: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
     schedule_gamma: float = 1.0
     schedule_every: int = 0
@@ -204,18 +192,14 @@ class OptimizerConfig:
     def validate(self) -> None:
         if self.kind not in ("sgd", "adamw"):
             raise InvalidConfig(f"optimizer kind must be sgd or adamw, got {self.kind!r}")
-        if not self.learning_rate > 0:
-            raise InvalidConfig(f"learning_rate must be > 0, got {self.learning_rate}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise InvalidConfig(f"momentum must be in [0, 1), got {self.momentum}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise InvalidConfig(f"betas must be in [0, 1), got ({self.beta1}, {self.beta2})")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise InvalidConfig(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not 0.0 <= self.schedule_gamma <= 1.0:
             raise InvalidConfig(f"schedule_gamma must be in [0, 1], got {self.schedule_gamma}")
         if self.schedule_every < 0:
             raise InvalidConfig(f"schedule_every must be >= 0, got {self.schedule_every}")
-        if self.weight_decay < 0:
-            raise InvalidConfig(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise InvalidConfig(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
 
     def lr_at(self, epoch: int) -> float:
         if self.schedule_every <= 0:
@@ -224,64 +208,52 @@ class OptimizerConfig:
 
 
 class Optimizer:
-    """Update state for one embedder, flat in its parameter order; respects its freeze flag."""
+    """Update state for the part of one embedder's params it trains.
 
-    def __init__(self, config: OptimizerConfig, embedder: MLPEmbedder):
+    That part is fixed at construction: every layer, or with last_layer_only
+    the final layer alone. The rest of params is never touched.
+    """
+
+    def __init__(self, config: OptimizerConfig, embedder: MLPEmbedder, last_layer_only=False):
         config.validate()
         self.config = config
         self.t = 0
-        self._m = np.zeros_like(embedder.params)
-        self._v = np.zeros_like(embedder.params)
+        start = 0
+        if last_layer_only and embedder.n_layers:
+            start = embedder.params.size - embedder.weights[-1].size - embedder.biases[-1].size
+        self._part = slice(start, None)
+        self._shape = embedder.params.shape
+        self._params = embedder.params[self._part]
+        self._m = np.zeros_like(self._params)
+        self._v = np.zeros_like(self._params)
 
-    def step(
-        self,
-        embedder: MLPEmbedder,
-        grads: list[tuple[np.ndarray, np.ndarray]],
-        epoch: int,
-    ) -> None:
-        """One in-place parameter update at the scheduled learning rate.
+    def step(self, grad: np.ndarray, epoch: int) -> None:
+        """One in-place update of the trained part at the scheduled learning rate.
 
-        The trainable layers' parameters are updated as one slice of the
-        parameter vector, each element by the same arithmetic as alone. Frozen
-        layers are skipped entirely: their parameters and state stay
-        bit-identical.
+        grad is laid out like params (MLPEmbedder.backward's output); the
+        trained slice is updated in one pass, each element by the same
+        arithmetic as alone.
         """
-        if len(grads) != embedder.n_layers:
-            raise ShapeMismatch(f"got {len(grads)} gradients for {embedder.n_layers} layers")
+        if grad.shape != self._shape:
+            raise ShapeMismatch(f"gradient shape {grad.shape} != parameter shape {self._shape}")
         cfg = self.config
         lr = cfg.lr_at(epoch)
         self.t += 1
-        part = embedder.trainable_slice()
-        param = embedder.params[part]
-        grad = np.empty_like(param)
-        offset = 0
-        for idx in embedder.trainable_layers():
-            layer = (embedder.weights[idx], embedder.biases[idx])
-            for layer_param, layer_grad in zip(layer, grads[idx]):
-                if layer_grad.shape != layer_param.shape:
-                    raise ShapeMismatch(
-                        f"gradient shape {layer_grad.shape} != "
-                        f"parameter shape {layer_param.shape}"
-                    )
-                grad[offset : offset + layer_param.size] = layer_grad.ravel()
-                offset += layer_param.size
+        param = self._params
+        grad = grad[self._part]
         if cfg.kind == "sgd":
             if cfg.weight_decay:
-                grad += cfg.weight_decay * param
-            buf = self._m[part]
-            buf *= cfg.momentum
-            buf += grad
-            param -= lr * buf
+                grad = grad + cfg.weight_decay * param
+            param -= lr * grad
         else:
-            m = self._m[part]
-            v = self._v[part]
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * grad
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * grad**2
-            m_hat = m / (1.0 - cfg.beta1**self.t)
-            v_hat = v / (1.0 - cfg.beta2**self.t)
-            param -= lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+            m, v = self._m, self._v
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * grad
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * grad**2
+            m_hat = m / (1.0 - ADAM_BETA1**self.t)
+            v_hat = v / (1.0 - ADAM_BETA2**self.t)
+            param -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             if cfg.weight_decay:
                 param -= lr * cfg.weight_decay * param
 

@@ -6,7 +6,6 @@ __all__ = [
     "DimensionMismatch",
     "ShapeMismatch",
     "InvalidConfig",
-    "NotNormalized",
     "NonFiniteInput",
     "FormatError",
     "NonFiniteLoss",
@@ -31,10 +30,6 @@ class ShapeMismatch(CrossbatchError):
 
 class InvalidConfig(CrossbatchError):
     """A configuration value violates its documented range."""
-
-
-class NotNormalized(CrossbatchError):
-    """A vector expected to be unit-norm is not."""
 
 
 class NonFiniteInput(CrossbatchError):

@@ -37,12 +37,12 @@ class KalmanConfig:
     gain_interval: int = 1  # steps between gain recomputations
 
     def validate(self) -> None:
-        if not self.q > 0:
-            raise InvalidConfig(f"q must be > 0, got {self.q}")
-        if not self.r >= 0:
-            raise InvalidConfig(f"r must be >= 0, got {self.r}")
-        if not self.p0 > 0:
-            raise InvalidConfig(f"p0 must be > 0, got {self.p0}")
+        if not 0 < self.q < math.inf:
+            raise InvalidConfig(f"q must be finite and > 0, got {self.q}")
+        if not 0 <= self.r < math.inf:
+            raise InvalidConfig(f"r must be finite and >= 0, got {self.r}")
+        if not 0 < self.p0 < math.inf:
+            raise InvalidConfig(f"p0 must be finite and > 0, got {self.p0}")
         if not isinstance(self.gain_interval, int) or self.gain_interval < 1:
             raise InvalidConfig(f"gain_interval must be an integer >= 1, got {self.gain_interval}")
 

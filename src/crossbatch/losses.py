@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig, NotNormalized, ShapeMismatch
+from .errors import InvalidConfig, ShapeMismatch
 from .memory import MemoryBank
 from .moments import EmbeddingBatch
 
@@ -22,9 +22,7 @@ __all__ = [
     "PairMinerConfig",
     "MinedPairs",
     "LossOutput",
-    "cosine_distance",
     "distance_matrix",
-    "check_normalized",
     "mine_pairs",
     "contrastive_loss",
     "triplet_loss",
@@ -81,22 +79,6 @@ class LossOutput:
 
     def __add__(self, other: "LossOutput") -> "LossOutput":
         return LossOutput(self.value + other.value, self.grad + other.grad)
-
-
-def check_normalized(vectors: np.ndarray, tol: float = 1e-6) -> None:
-    norms = np.linalg.norm(np.atleast_2d(vectors), axis=1)
-    worst = float(np.abs(norms - 1.0).max()) if norms.size else 0.0
-    if worst > tol:
-        raise NotNormalized(f"vector norm off unit by {worst:.3g} (tolerance {tol:g})")
-
-
-def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """1 - <a, b> for two unit vectors; validates normalization."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    check_normalized(a)
-    check_normalized(b)
-    return float(1.0 - a @ b)
 
 
 def distance_matrix(batch_vectors: np.ndarray, reference_vectors: np.ndarray) -> np.ndarray:

@@ -258,11 +258,9 @@ class TrainingRun:
         self.kalman_state = None
         self.stage = "warmup" if config.warmup_epochs > 0 else "main"
         if self.stage == "warmup":
-            self.embedder.freeze_all_but_last()
-        self.optimizer = Optimizer(
-            config.warmup_optimizer if self.stage == "warmup" else config.main_optimizer,
-            self.embedder,
-        )
+            self.optimizer = Optimizer(config.warmup_optimizer, self.embedder, last_layer_only=True)
+        else:
+            self.optimizer = Optimizer(config.main_optimizer, self.embedder)
         self.epoch = 0  # global epoch counter across both stages
         self.global_step = 0
         self.iterations: list[IterationRecord] = []
@@ -312,12 +310,12 @@ class TrainingRun:
             out = xbm_loss(batch, self.bank, config.miner, reference)
             if not np.isfinite(out.value):
                 raise NonFiniteLoss("non-finite loss", self.global_step)
-            grads = self.embedder.backward(cache, out.grad)
+            grad = self.embedder.backward(cache, out.grad)
         except Exception:
             self.bank.restore(saved_bank)
             self.kalman_state = saved_kalman
             raise
-        self.optimizer.step(self.embedder, grads, self._stage_epoch())
+        self.optimizer.step(grad, self._stage_epoch())
         if in_main and self.variant.uses_memory:
             self.bank.enqueue(batch)
         drift_mean = drift_max = None
@@ -373,7 +371,6 @@ class TrainingRun:
 
     def _enter_main_stage(self) -> None:
         self.stage = "main"
-        self.embedder.unfreeze()
         self.optimizer = Optimizer(self.config.main_optimizer, self.embedder)
 
     def run(self) -> TrainResult:

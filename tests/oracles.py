@@ -90,7 +90,8 @@ class PerArrayOptimizer:
     """SGD/AdamW updating each weight and bias array on its own, with its own moments.
 
     params is a list of independent arrays, updated in place; step() touches
-    only the arrays whose indices are in trainable.
+    only the arrays whose indices are in trainable. AdamW uses the usual
+    betas (0.9, 0.999) and eps 1e-8.
     """
 
     def __init__(self, config, params):
@@ -108,21 +109,35 @@ class PerArrayOptimizer:
             if cfg.kind == "sgd":
                 if cfg.weight_decay:
                     grad = grad + cfg.weight_decay * param
-                buf = self.m[idx]
-                buf *= cfg.momentum
-                buf += grad
-                param -= lr * buf
+                param -= lr * grad
             else:
                 m, v = self.m[idx], self.v[idx]
-                m *= cfg.beta1
-                m += (1.0 - cfg.beta1) * grad
-                v *= cfg.beta2
-                v += (1.0 - cfg.beta2) * grad**2
-                m_hat = m / (1.0 - cfg.beta1**self.t)
-                v_hat = v / (1.0 - cfg.beta2**self.t)
-                param -= lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+                m *= 0.9
+                m += (1.0 - 0.9) * grad
+                v *= 0.999
+                v += (1.0 - 0.999) * grad**2
+                m_hat = m / (1.0 - 0.9**self.t)
+                v_hat = v / (1.0 - 0.999**self.t)
+                param -= lr * m_hat / (np.sqrt(v_hat) + 1e-8)
                 if cfg.weight_decay:
                     param -= lr * cfg.weight_decay * param
+
+
+def per_layer_backward(embedder, cache, grad_z):
+    """(dW, db) per layer, each a fresh array, by the plain chain-rule loop.
+
+    The same arithmetic as MLPEmbedder.backward, which writes the same values
+    into one vector laid out like params; they must agree bit for bit.
+    """
+    u, s = cache["u"], cache["s"]
+    radial = (u * grad_z).sum(axis=1) / s**3
+    g = grad_z / s[:, None] - u * radial[:, None]
+    grads = [None] * embedder.n_layers
+    for idx in range(embedder.n_layers - 1, -1, -1):
+        grads[idx] = (cache["layer_inputs"][idx].T @ g, g.sum(axis=0))
+        if idx > 0:
+            g = (g @ embedder.weights[idx].T) * cache["relu_masks"][idx - 1]
+    return grads
 
 
 def brute_force_pairs(batch_vectors, batch_labels, ref_vectors, ref_labels,

@@ -289,6 +289,22 @@ class TestFlagValidation:
         assert "recall_ks must start with 1" in capsys.readouterr().err
         assert not out.exists()  # no run directory, so no checkpoint.xbnc
 
+    @pytest.mark.parametrize("extra", [
+        ("--variant", "axbn", "--q", "inf"),
+        ("--variant", "axbn", "--p0", "inf"),
+        ("--variant", "axbn", "--r", "inf"),
+        ("--variant", "xbn", "--lr", "inf"),
+        ("--variant", "xbn", "--warmup-lr", "inf"),
+        ("--variant", "xbn", "--weight-decay", "inf"),
+        ("--variant", "xbn", "--weight-decay", "nan"),
+    ])
+    def test_non_finite_setting_exits_2_without_run_directory(self, tmp_path, data_file,
+                                                              capsys, extra):
+        out = tmp_path / "out"
+        assert main(train_argv(data_file, out, *extra)) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_dataset(self, tmp_path, capsys):
         code = main(["train", "--variant", "xbn", "--out", str(tmp_path)])
         assert code == 2

@@ -19,7 +19,12 @@ from crossbatch import (
     save_checkpoint,
     contrastive_loss,
 )
-from oracles import PerArrayOptimizer, central_diff_param_grads, relative_grad_error
+from oracles import (
+    PerArrayOptimizer,
+    central_diff_param_grads,
+    per_layer_backward,
+    relative_grad_error,
+)
 
 
 def tiny_net(dims=(3, 8, 4), seed=0):
@@ -69,7 +74,7 @@ class TestBackward:
     def test_zero_depth_has_no_parameter_grads(self):
         net = MLPEmbedder((3,))
         z, cache = net.forward(np.array([[1.0, 2.0, 2.0]]))
-        assert net.backward(cache, z.copy()) == []
+        assert net.backward(cache, z.copy()).shape == (0,)
 
     def test_radial_component_annihilated(self):
         net = tiny_net(seed=3)
@@ -77,17 +82,14 @@ class TestBackward:
         z, cache = net.forward(x)
         # grad_z parallel to z per row contributes nothing to any parameter
         # (exact up to the 1e-12 norm epsilon, whose residue scales as eps/s^4)
-        grads = net.backward(cache, z * np.array([[2.0], [3.0], [-1.0], [0.5]]))
-        for dw, db in grads:
-            np.testing.assert_allclose(dw, np.zeros_like(dw), atol=1e-8)
-            np.testing.assert_allclose(db, np.zeros_like(db), atol=1e-8)
+        grad = net.backward(cache, z * np.array([[2.0], [3.0], [-1.0], [0.5]]))
+        np.testing.assert_allclose(grad, np.zeros_like(grad), atol=1e-8)
 
     def test_zero_grad_z(self):
         net = tiny_net()
         x = np.random.default_rng(4).normal(size=(4, 3))
         z, cache = net.forward(x)
-        for dw, db in net.backward(cache, np.zeros_like(z)):
-            assert not dw.any() and not db.any()
+        assert not net.backward(cache, np.zeros_like(z)).any()
 
     def test_shape_mismatch(self):
         net = tiny_net()
@@ -111,9 +113,21 @@ class TestBackward:
         b = EmbeddingBatch(vectors=z, labels=labels)
         pairs = mine_pairs(b, b, cfg, self_offset=0)
         out = contrastive_loss(b, b, pairs, cfg)
-        analytic = net.backward(cache, out.grad)
+        analytic = net.layers(net.backward(cache, out.grad))
         numeric = central_diff_param_grads(net, loss_of)
         assert relative_grad_error(analytic, numeric) < 1e-6
+
+    @pytest.mark.parametrize("dims", [(3, 2), (3, 8, 4), (5, 7, 6, 3)])
+    def test_matches_per_layer_oracle_bit_for_bit(self, dims):
+        net = MLPEmbedder(dims, seed=13)
+        rng = np.random.default_rng(14)
+        z, cache = net.forward(rng.normal(size=(9, dims[0])))
+        grad_z = rng.normal(size=z.shape)
+        grad = net.backward(cache, grad_z)
+        expected = per_layer_backward(net, cache, grad_z)
+        assert len(net.layers(grad)) == len(expected)
+        for (dw, db), (ew, eb) in zip(net.layers(grad), expected):
+            assert dw.tobytes() == ew.tobytes() and db.tobytes() == eb.tobytes()
 
 
 class TestOptimizer:
@@ -121,9 +135,10 @@ class TestOptimizer:
         net = MLPEmbedder((2, 2), seed=1)
         opt = Optimizer(OptimizerConfig(kind="sgd", learning_rate=0.1), net)
         w_before = net.weights[0].copy()
-        g = np.ones_like(net.weights[0])
-        opt.step(net, [(g, np.zeros(2))], epoch=0)
-        np.testing.assert_allclose(net.weights[0], w_before - 0.1 * g, atol=1e-15)
+        grad = np.zeros_like(net.params)
+        net.layers(grad)[0][0][...] = 1.0  # ones on the weights, zero on the bias
+        opt.step(grad, epoch=0)
+        np.testing.assert_allclose(net.weights[0], w_before - 0.1, atol=1e-15)
 
     def test_schedule(self):
         cfg = OptimizerConfig(kind="adamw", learning_rate=1e-4,
@@ -137,7 +152,7 @@ class TestOptimizer:
         net = MLPEmbedder((2, 2), seed=2)
         opt = Optimizer(OptimizerConfig(kind="adamw", weight_decay=0.0), net)
         w_before = net.weights[0].copy()
-        opt.step(net, [(np.zeros((2, 2)), np.zeros(2))], epoch=0)
+        opt.step(np.zeros_like(net.params), epoch=0)
         np.testing.assert_array_equal(net.weights[0], w_before)
 
     def test_adamw_decoupled_weight_decay(self):
@@ -146,17 +161,17 @@ class TestOptimizer:
         lr, wd = 1e-2, 0.5
         opt = Optimizer(OptimizerConfig(kind="adamw", learning_rate=lr, weight_decay=wd), net)
         w_before = net.weights[0].copy()
-        opt.step(net, [(np.zeros((2, 2)), np.zeros(2))], epoch=0)
+        opt.step(np.zeros_like(net.params), epoch=0)
         np.testing.assert_allclose(net.weights[0], w_before * (1 - lr * wd), atol=1e-15)
 
-    def test_sgd_momentum_accumulates(self):
-        net = MLPEmbedder((1, 1), seed=0)
-        opt = Optimizer(OptimizerConfig(kind="sgd", learning_rate=1.0, momentum=0.5), net)
-        net.weights[0][:] = 0.0
-        g = np.ones((1, 1))
-        opt.step(net, [(g, np.zeros(1))], epoch=0)  # buf = 1, w = -1
-        opt.step(net, [(g, np.zeros(1))], epoch=0)  # buf = 1.5, w = -2.5
-        assert net.weights[0][0, 0] == pytest.approx(-2.5)
+    def test_gradient_of_wrong_shape_rejected(self):
+        net = tiny_net()
+        opt = Optimizer(OptimizerConfig(), net)
+        before = net.params.copy()
+        for bad in (np.zeros(net.params.size - 1), np.zeros((1, net.params.size))):
+            with pytest.raises(ShapeMismatch):
+                opt.step(bad, epoch=0)
+        assert net.params.tobytes() == before.tobytes()
 
     def test_invalid_kind(self):
         with pytest.raises(InvalidConfig):
@@ -164,59 +179,61 @@ class TestOptimizer:
 
     @pytest.mark.parametrize("config", [
         OptimizerConfig(kind="sgd", learning_rate=0.05),
-        OptimizerConfig(kind="sgd", learning_rate=0.05, momentum=0.9, weight_decay=0.01),
+        OptimizerConfig(kind="sgd", learning_rate=0.05, weight_decay=0.01),
         OptimizerConfig(kind="adamw", learning_rate=1e-2),
         OptimizerConfig(kind="adamw", learning_rate=1e-2, weight_decay=0.1,
                         schedule_gamma=0.5, schedule_every=2),
     ])
     def test_matches_per_array_oracle_bit_for_bit(self, config):
-        # 50 steps, frozen below the last layer for the first 20
+        # 50 steps: 20 training the last layer only, then a fresh optimizer
+        # for every layer, as at the warmup/main stage change
         net = MLPEmbedder((5, 7, 6, 3), seed=11)
         oracle_params = [p.copy() for pair in zip(net.weights, net.biases) for p in pair]
-        opt = Optimizer(config, net)
+        opt = Optimizer(config, net, last_layer_only=True)
         oracle = PerArrayOptimizer(config, oracle_params)
+        trainable = [len(oracle_params) - 2, len(oracle_params) - 1]
         rng = np.random.default_rng(12)
-        net.freeze_all_but_last()
         for step in range(50):
             if step == 20:
-                net.unfreeze()
-            grads = [(rng.normal(size=w.shape), rng.normal(size=b.shape))
-                     for w, b in zip(net.weights, net.biases)]
+                opt = Optimizer(config, net)
+                oracle = PerArrayOptimizer(config, oracle_params)
+                trainable = range(len(oracle_params))
+            grad = rng.normal(size=net.params.shape)
             epoch = step // 10
-            opt.step(net, grads, epoch)
-            trainable = [2 * layer + k for layer in net.trainable_layers() for k in (0, 1)]
-            oracle.step(oracle_params, [g for pair in grads for g in pair], trainable, epoch)
+            opt.step(grad, epoch)
+            oracle_grads = [g.copy() for pair in net.layers(grad) for g in pair]
+            oracle.step(oracle_params, oracle_grads, trainable, epoch)
             assert net.params.tobytes() == b"".join(p.tobytes() for p in oracle_params), step
 
 
 class TestFreeze:
     def test_frozen_layers_untouched(self):
         net = tiny_net(seed=9)
-        net.freeze_all_but_last()
-        opt = Optimizer(OptimizerConfig(kind="sgd", learning_rate=0.5), net)
+        opt = Optimizer(OptimizerConfig(kind="sgd", learning_rate=0.5), net, last_layer_only=True)
         first_before = net.weights[0].copy()
         last_before = net.weights[-1].copy()
-        grads = [(np.ones_like(w), np.ones_like(b)) for w, b in zip(net.weights, net.biases)]
-        opt.step(net, grads, epoch=0)
+        opt.step(np.ones_like(net.params), epoch=0)
         np.testing.assert_array_equal(net.weights[0], first_before)
         assert np.abs(net.weights[-1] - last_before).max() > 0
 
     def test_unfrozen_step_touches_every_layer(self):
         net = tiny_net(seed=9)
-        net.freeze_all_but_last()
-        net.unfreeze()
         opt = Optimizer(OptimizerConfig(kind="sgd", learning_rate=0.5), net)
         before = [w.copy() for w in net.weights]
-        grads = [(np.ones_like(w), np.ones_like(b)) for w, b in zip(net.weights, net.biases)]
-        opt.step(net, grads, epoch=0)
+        opt.step(np.ones_like(net.params), epoch=0)
         for w_before, w_after in zip(before, net.weights):
             assert np.abs(w_after - w_before).max() > 0
 
     def test_trainable_layers(self):
-        net = tiny_net()
-        assert list(net.trainable_layers()) == [0, 1]
-        net.freeze_all_but_last()
-        assert list(net.trainable_layers()) == [1]
+        # last_layer_only trains exactly the final weight and bias elements
+        net = MLPEmbedder((3, 8, 5, 4), seed=9)
+        opt = Optimizer(OptimizerConfig(kind="sgd", learning_rate=0.5), net, last_layer_only=True)
+        before = net.params.copy()
+        opt.step(np.ones_like(net.params), epoch=0)
+        expected = np.zeros_like(net.params)
+        for part in net.layers(expected)[-1]:
+            part[...] = 1.0
+        np.testing.assert_array_equal(net.params != before, expected == 1.0)
 
 
 class TestCheckpoint:
@@ -274,7 +291,6 @@ class TestCheckpoint:
         path = tmp_path / "net.xbnc"
         save_checkpoint(tiny_net(seed=4), path)
         loaded = load_checkpoint(path)
-        assert not loaded.frozen_below_last
         assert all(a.flags.writeable for a in loaded.weights + loaded.biases)
 
     def test_trailing_bytes(self, tmp_path):

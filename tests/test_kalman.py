@@ -31,7 +31,9 @@ class TestConfigAndInit:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(p0=0.0), dict(p0=-1.0), dict(q=0.0), dict(r=-0.5), dict(gain_interval=0)],
+        [dict(p0=0.0), dict(p0=-1.0), dict(q=0.0), dict(r=-0.5), dict(gain_interval=0),
+         dict(q=np.inf), dict(r=np.inf), dict(p0=np.inf),
+         dict(q=np.nan), dict(r=np.nan), dict(p0=np.nan)],
     )
     def test_invalid_config(self, kwargs):
         with pytest.raises(InvalidConfig):

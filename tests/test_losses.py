@@ -7,11 +7,9 @@ from crossbatch import (
     EmbeddingBatch,
     InvalidConfig,
     MemoryBank,
-    NotNormalized,
     PairMinerConfig,
     ShapeMismatch,
     contrastive_loss,
-    cosine_distance,
     distance_matrix,
     mine_pairs,
     triplet_loss,
@@ -49,25 +47,6 @@ def batch_grad_fd(loss_fn, vectors, h=1e-6):
             down[i, j] -= h
             g[i, j] = (loss_fn(up) - loss_fn(down)) / (2 * h)
     return g
-
-
-class TestCosineDistance:
-    def test_identical(self):
-        v = unit_rows(1, 5, seed=0)[0]
-        assert cosine_distance(v, v) == pytest.approx(0.0, abs=1e-12)
-
-    def test_antipodal(self):
-        v = unit_rows(1, 5, seed=1)[0]
-        assert cosine_distance(v, -v) == pytest.approx(2.0, abs=1e-12)
-
-    def test_orthogonal(self):
-        a = np.array([1.0, 0.0, 0.0])
-        b = np.array([0.0, 1.0, 0.0])
-        assert cosine_distance(a, b) == pytest.approx(1.0, abs=1e-12)
-
-    def test_not_normalized(self):
-        with pytest.raises(NotNormalized):
-            cosine_distance(np.array([2.0, 0.0]), np.array([1.0, 0.0]))
 
 
 class TestMinerConfig:

@@ -102,6 +102,11 @@ class TestTrainConfig:
             {"memory_capacity": -1},
             {"embed_dim": 0},
             {"hidden_dims": (8, 0)},
+            {"main_optimizer": OptimizerConfig(learning_rate=np.inf)},
+            {"main_optimizer": OptimizerConfig(learning_rate=np.nan)},
+            {"warmup_optimizer": OptimizerConfig(kind="sgd", learning_rate=np.inf)},
+            {"main_optimizer": OptimizerConfig(weight_decay=np.inf)},
+            {"main_optimizer": OptimizerConfig(weight_decay=np.nan)},
         ],
     )
     def test_invalid(self, kwargs):
@@ -257,6 +262,20 @@ class TestTrainingLoop:
         for kind in ("xbm", "xbn"):
             for a, b in zip(base.weights, runs[kind].final_embedder.weights):
                 np.testing.assert_array_equal(a, b)
+
+    def test_warmup_trains_only_the_last_layer(self, dataset):
+        run = TrainingRun(small_config(hidden_dims=(16, 12)), dataset, MethodVariant("axbn"))
+        params = run.embedder.params
+        last = params.size - run.embedder.weights[-1].size - run.embedder.biases[-1].size
+        initial = params.copy()
+        run.run_epoch()
+        assert run.stage == "main"
+        assert params[:last].tobytes() == initial[:last].tobytes()
+        assert (params[last:] != initial[last:]).any()
+        after_warmup = params.copy()
+        run.train_step(run.epoch_batches()[0])
+        changed = run.embedder.layers(params != after_warmup)
+        assert all(w.any() and b.any() for w, b in changed)
 
     def test_stage_transition_gain_and_lr(self, dataset):
         run = TrainingRun(small_config(epochs=1), dataset, MethodVariant("axbn"))
