@@ -6,13 +6,17 @@ own index); distinct batches score a separate query/gallery split.
 Similarities are accumulated in float64 and ties are broken by ascending
 gallery index, so results are deterministic and order-stable.
 
-Nothing is sorted. Under that order a query hits at k exactly when its best
-positive (the label match of highest similarity, lowest index among equals)
-has rank < k, and that rank is a count: the candidates of higher similarity
-plus those of equal similarity and lower index, none of which can be a
-positive. The count is exact, so the result is the one a full sort gives.
-Queries are processed in chunks of rows whose similarities fit in
-`_CHUNK_BYTES`, so memory is bounded by that budget, not by queries × gallery.
+No similarity is sorted. Under that order a query hits at k exactly when its
+best positive (the label match of highest similarity, lowest index among
+equals) has rank < k. Rank 0 is one argmax: the top candidate is a positive.
+For the other queries the rank is a count: the candidates of higher
+similarity plus those of equal similarity and lower index, none of which can
+be a positive. The best positive is read from the similarity block itself,
+at the query's positive columns only (the gallery is grouped by label once
+per call), so every comparison is between the same float values and the
+result is exactly the one a full sort gives. Queries are processed in chunks
+of rows whose similarities and gathered positives fit in `_CHUNK_BYTES`, so
+memory is bounded by that budget, not by queries × gallery.
 """
 
 from __future__ import annotations
@@ -26,9 +30,11 @@ from .moments import EmbeddingBatch
 
 __all__ = ["recall_at_k"]
 
-# Bytes of float64 similarities held at once; the boolean masks built beside
-# them add about half as much again.
+# Bytes held at once per chunk of query rows: 8 per float64 similarity, and
+# _GATHER_BYTES per positive gathered for the rows whose top candidate is not
+# one (their indices, values and comparison, all alive at the gather's peak).
 _CHUNK_BYTES = 16 << 20
+_GATHER_BYTES = 32
 
 
 def _check_k_values(k_values) -> tuple[int, ...]:
@@ -70,28 +76,42 @@ def recall_at_k(
     if queries.n == 0:
         raise InvalidConfig("no queries to evaluate")
 
-    step = max(1, _CHUNK_BYTES // (8 * gallery.n))
-    ranks = np.concatenate([
-        _best_positive_ranks(queries, gallery, lo, min(lo + step, queries.n), single)
-        for lo in range(0, queries.n, step)
-    ])
+    order = np.argsort(gallery.labels, kind="stable")
+    grouped = gallery.labels[order]
+    starts = np.searchsorted(grouped, queries.labels)
+    counts = np.searchsorted(grouped, queries.labels, side="right") - starts
+    most = int(counts.max())
+    step = max(1, _CHUNK_BYTES // (8 * gallery.n + _GATHER_BYTES * most))
+    sims = np.empty((min(step, queries.n), gallery.n))
+    ranks = np.full(queries.n, ks[-1])
+    for lo in range(0, queries.n, step):
+        hi = min(lo + step, queries.n)
+        block = sims[: hi - lo]
+        np.matmul(queries.vectors[lo:hi], gallery.vectors.T, out=block)
+        if single:
+            rows = np.arange(hi - lo)
+            block[rows, lo + rows] = -np.inf
+        top = gallery.labels[np.argmax(block, axis=1)] == queries.labels[lo:hi]
+        ranks[lo:hi][top] = 0
+        miss = np.flatnonzero(~top & (counts[lo:hi] > single))
+        best, first = _best_positives(block, miss, order, starts[lo + miss], counts[lo + miss])
+        for i, b, f in zip(miss.tolist(), best.tolist(), first.tolist()):
+            rank = np.count_nonzero(block[i] > b)
+            if rank < ks[-1]:
+                rank += np.count_nonzero(block[i, :f] == b)
+            ranks[lo + i] = rank
     return {k: int(np.count_nonzero(ranks < k)) / queries.n for k in ks}
 
 
-def _best_positive_ranks(
-    queries: EmbeddingBatch, gallery: EmbeddingBatch, lo: int, hi: int, single: bool
-) -> np.ndarray:
-    """Rank of each best positive of queries lo..hi; gallery.n when there is none."""
-    sims = queries.vectors[lo:hi] @ gallery.vectors.T
-    pos = queries.labels[lo:hi, None] == gallery.labels
-    if single:
-        rows = np.arange(hi - lo)
-        pos[rows, lo + rows] = False
-    best = np.max(sims, axis=1, where=pos, initial=-np.inf, keepdims=True)
-    at_best = sims == best
-    first = np.argmax(pos & at_best, axis=1)[:, None]
-    ahead = sims > best
-    ahead |= at_best & (np.arange(gallery.n) < first)
-    if single:
-        ahead[rows, lo + rows] = False
-    return np.where(pos.any(axis=1), np.count_nonzero(ahead, axis=1), gallery.n)
+def _best_positives(block, rows, order, starts, counts) -> tuple[np.ndarray, np.ndarray]:
+    """Similarity and lowest column of the best positive of each of block's rows.
+
+    Row rows[i]'s positives are columns order[starts[i]:starts[i] + counts[i]],
+    ascending, one at least besides any self column (-inf, so it never wins).
+    """
+    seg = np.cumsum(counts) - counts
+    cols = order[np.arange(counts.sum()) + np.repeat(starts - seg, counts)]
+    vals = block[np.repeat(rows, counts), cols]
+    best = np.maximum.reduceat(vals, seg)
+    at = np.flatnonzero(vals == np.repeat(best, counts))
+    return best, cols[at[np.searchsorted(at, seg)]]

@@ -209,6 +209,10 @@ def sample_pk_batches(labels, batch_size: int, samples_per_class: int, seed) -> 
     epoch covers ceil(n / batch_size) batches; deterministic per seed.
     """
     labels = np.asarray(labels)
+    if batch_size < 1 or samples_per_class < 1:
+        raise InvalidConfig(
+            f"batch_size and samples_per_class must be >= 1, got {batch_size}, {samples_per_class}"
+        )
     if batch_size % samples_per_class:
         raise InvalidConfig(
             f"batch_size {batch_size} not divisible by samples_per_class {samples_per_class}"

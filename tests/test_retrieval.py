@@ -241,3 +241,123 @@ class TestChunking:
         finally:
             tracemalloc.stop()
         assert peak < 4000 * 4000 * 8 / 2
+
+    @pytest.mark.parametrize("n_classes", [400, 2, 1])
+    def test_peak_memory_within_the_chunk_budget(self, n_classes):
+        # similarities plus the positives gathered for rows whose top candidate
+        # is a negative stay inside the one budget; a one-class gallery gives
+        # every query 4000 positive columns, two classes make half the rows miss
+        q = batch(4000, 16, seed=0, n_classes=n_classes)
+        g = batch(4000, 16, seed=1, n_classes=n_classes)
+        tracemalloc.start()
+        try:
+            recall_at_k(q, g, (1, 10))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * retrieval._CHUNK_BYTES
+
+
+def assert_matches_oracle(q, g, ks):
+    single = g is q
+    expected = naive_recall(q.vectors, q.labels, g.vectors, g.labels, ks, exclude_self=single)
+    assert recall_at_k(q, g, ks) == expected
+    return expected
+
+
+class TestEdgeCases:
+    """Hand-built rankings at the places where a hit is decided, each against the oracle."""
+
+    Q = EmbeddingBatch(vectors=np.array([[1.0, 0.0]]), labels=np.array([7]))
+
+    @pytest.mark.parametrize(
+        "labels,expected",
+        [
+            ([9, 7, 9], {1: 0.0, 2: 1.0}),  # negative tied at the top, lower index
+            ([7, 9, 9], {1: 1.0, 2: 1.0}),  # negative tied at the top, higher index
+        ],
+    )
+    def test_best_positive_tied_at_the_top(self, labels, expected):
+        g = EmbeddingBatch(
+            vectors=np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), labels=np.array(labels)
+        )
+        assert assert_matches_oracle(self.Q, g, (1, 2)) == expected
+
+    @pytest.mark.parametrize(
+        "labels,expected",
+        [
+            ([9, 9, 7, 9], {1: 0.0, 2: 0.0, 3: 1.0}),  # tie below the top, lower index
+            ([9, 7, 9, 9], {1: 0.0, 2: 1.0, 3: 1.0}),  # tie below the top, higher index
+        ],
+    )
+    def test_best_positive_tied_below_the_top(self, labels, expected):
+        # row 0 is ahead of everything; rows 1 and 2 tie at 0.5
+        g = EmbeddingBatch(
+            vectors=np.array([[1.0, 0.0], [0.5, 0.5], [0.5, -0.5], [-1.0, 0.0]]),
+            labels=np.array(labels),
+        )
+        assert assert_matches_oracle(self.Q, g, (1, 2, 3)) == expected
+
+    @pytest.mark.parametrize(
+        "ahead,tied,hit", [(4, 0, 1.0), (5, 0, 0.0), (3, 1, 1.0), (4, 1, 0.0)]
+    )
+    def test_best_positive_at_k_max_boundary(self, ahead, tied, hit):
+        # `ahead` negatives strictly ahead of the only positive and `tied`
+        # negatives equal to it at a lower index put it at rank ahead + tied,
+        # k_max - 1 or k_max; the equal negative after it never counts
+        sims = [1.0 - 0.125 * i for i in range(ahead)] + [0.25] * tied + [0.25, 0.25, -1.0]
+        g = EmbeddingBatch(
+            vectors=np.array([[s, 0.0] for s in sims]),
+            labels=np.array([9] * (ahead + tied) + [7, 9, 9]),
+        )
+        out = assert_matches_oracle(self.Q, g, (1, 3, 5))
+        assert out == {1: 0.0, 3: 0.0, 5: hit}
+
+    def test_lowest_of_tied_positives_is_the_best(self):
+        # positives at rows 1 and 3 tie with the negative at row 2: the best
+        # positive is row 1, at rank 1 behind row 0
+        g = EmbeddingBatch(
+            vectors=np.array([[1.0, 0.0], [0.5, 0.0], [0.5, 0.0], [0.5, 0.0], [-1.0, 0.0]]),
+            labels=np.array([9, 7, 9, 7, 9]),
+        )
+        assert assert_matches_oracle(self.Q, g, (1, 2, 3)) == {1: 0.0, 2: 1.0, 3: 1.0}
+
+    @pytest.mark.parametrize("dup_label", [0, 1])
+    def test_exact_duplicate_at_lower_index_in_single_mode(self, dup_label):
+        # row 1 duplicates row 0 exactly: for query 1, row 0 ties with itself
+        # at the top and has the lower index; a positive there is a hit, a
+        # negative there pushes the best positive to rank 1
+        b = EmbeddingBatch(
+            vectors=np.array([[1.0, 0.0], [1.0, 0.0], [0.75, 0.25], [0.0, 1.0], [0.0, -1.0]]),
+            labels=np.array([dup_label, 1, 1, 2, 2]),
+        )
+        assert_matches_oracle(b, b, (1, 2, 3))
+
+    def test_query_label_absent_from_gallery(self):
+        q = EmbeddingBatch(
+            vectors=np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]), labels=np.array([0, 5, 1])
+        )
+        g = EmbeddingBatch(
+            vectors=np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]), labels=np.array([0, 1, 2])
+        )
+        out = assert_matches_oracle(q, g, (1, 2))
+        assert out[2] < 1.0  # the label-5 query never hits
+
+    @pytest.mark.parametrize("budget", [1, 2048, retrieval._CHUNK_BYTES])
+    @pytest.mark.parametrize("mostly", ["hit", "miss"])
+    @pytest.mark.parametrize("single", [True, False])
+    def test_chunk_budgets_when_most_rows_hit_or_miss(self, monkeypatch, budget, mostly, single):
+        # tight clusters put almost every query's top candidate in its class;
+        # labels drawn independently of the vectors put almost none there
+        rng = np.random.default_rng(23)
+        centers = rng.normal(size=(6, 4))
+        labels = np.tile(np.arange(6), 10)  # five of each class per half
+        vectors = rng.normal(size=(60, 4))
+        if mostly == "hit":
+            vectors = centers[labels] + 0.05 * vectors
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+        q = EmbeddingBatch(vectors=vectors[:30], labels=labels[:30])
+        g = q if single else EmbeddingBatch(vectors=vectors[30:], labels=labels[30:])
+        monkeypatch.setattr(retrieval, "_CHUNK_BYTES", budget)
+        out = assert_matches_oracle(q, g, (1, 2, 5, 10))
+        assert (out[1] > 0.9) if mostly == "hit" else (out[1] < 0.5)

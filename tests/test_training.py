@@ -162,6 +162,14 @@ class TestSamplePkBatches:
         with pytest.raises(InvalidConfig):
             sample_pk_batches(np.repeat([0, 1], 10), 12, 4, seed=0)  # needs 3
 
+    @pytest.mark.parametrize(
+        "batch_size,samples_per_class", [(4, 0), (0, 2), (0, 0), (-4, 2), (4, -2), (-4, -2)]
+    )
+    def test_sizes_below_one_rejected(self, batch_size, samples_per_class):
+        # unchecked, 0 divides by zero and a negative batch size gives no batches
+        with pytest.raises(InvalidConfig, match="must be >= 1"):
+            sample_pk_batches(np.repeat(np.arange(6), 5), batch_size, samples_per_class, seed=0)
+
     def test_deterministic_per_seed(self):
         labels = np.repeat(np.arange(6), 5)
         a = sample_pk_batches(labels, 10, 2, seed=42)
