@@ -408,7 +408,9 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
+def _run_flags() -> argparse.ArgumentParser:
+    """The flags train, sweep and drift share, for their parsers' parents=."""
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--dataset", help="XBNF feature file")
     p.add_argument("--out", help=f"output root (default ${OUT_ENV_VAR} or ./runs)")
@@ -420,19 +422,20 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
             p.add_argument("--no-drift", dest=key, action="store_const", const="false", help=text)
         else:
             p.add_argument("--" + key.replace("_", "-"), dest=key, help=text)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="crossbatch", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    run_flags = [_run_flags()]
 
-    p_train = sub.add_parser("train", help="one training run")
-    _add_run_flags(p_train)
+    p_train = sub.add_parser("train", parents=run_flags, help="one training run")
     p_train.add_argument("--variant", help=f"one of {', '.join(VARIANTS)}; ema is spelled ema:M")
     p_train.set_defaults(func=cmd_train)
 
-    p_sweep = sub.add_parser("sweep", help="grid of runs over one axis x variants x seeds")
-    _add_run_flags(p_sweep)
+    p_sweep = sub.add_parser("sweep", parents=run_flags,
+                             help="grid of runs over one axis x variants x seeds")
     axes = [k.replace("_", "-") for k, (_, parse) in _SETTINGS.items()
             if parse in (int, float) and k != "seed"]
     p_sweep.add_argument("--axis", required=True, choices=axes, help="the scalar setting to vary")
@@ -443,8 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="worker processes, at most one per run and per CPU")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_drift = sub.add_parser("drift", help="per-epoch drift curves: the sweep without an axis")
-    _add_run_flags(p_drift)
+    p_drift = sub.add_parser("drift", parents=run_flags,
+                             help="per-epoch drift curves: the sweep without an axis")
     p_drift.add_argument("--variants", required=True, help="comma-separated variant names")
     p_drift.set_defaults(func=cmd_sweep, axis=None, values=None, seeds=None, workers=1)
 

@@ -59,23 +59,21 @@ class MLPEmbedder:
             w[...] = rng.uniform(-limit, limit, size=w.shape)
 
     def _bind(self, dims: tuple[int, ...], params: np.ndarray) -> None:
-        """Own params and point weights and biases at their slices of it."""
+        """Own params and lay out its per-layer slices once, for layers() and weights/biases."""
         self.layer_dims = dims
         self.params = params
+        self._layout, offset = [], 0
+        for fan_in, fan_out in zip(dims, dims[1:]):
+            end = offset + fan_in * fan_out
+            self._layout.append((slice(offset, end), (fan_in, fan_out), slice(end, end + fan_out)))
+            offset = end + fan_out
         layers = self.layers(params)
         self.weights = [w for w, _ in layers]
         self.biases = [b for _, b in layers]
 
     def layers(self, vector: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per-layer (weight, bias) views of a vector laid out like params."""
-        views = []
-        offset = 0
-        for fan_in, fan_out in zip(self.layer_dims, self.layer_dims[1:]):
-            w = vector[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
-            offset += fan_in * fan_out
-            views.append((w, vector[offset : offset + fan_out]))
-            offset += fan_out
-        return views
+        return [(vector[w].reshape(shape), vector[b]) for w, shape, b in self._layout]
 
     @property
     def n_layers(self) -> int:
@@ -94,39 +92,38 @@ class MLPEmbedder:
 
         Every output row has unit L2 norm (within EPS_NORM rounding).
         """
+        layer_inputs = []
+        u, s = self._run(inputs, layer_inputs)
+        return u / s[:, None], {"layer_inputs": layer_inputs, "u": u, "s": s}
+
+    def embed(self, inputs: np.ndarray) -> np.ndarray:
+        """forward()'s embeddings, bit for bit, normalized in place and with no cache kept."""
+        u, s = self._run(inputs, None)
+        # At depth 0, u is the input itself, which must not be written.
+        return np.divide(u, s[:, None], out=u if self.n_layers else None)
+
+    def _run(self, inputs: np.ndarray, layer_inputs: list | None) -> tuple[np.ndarray, np.ndarray]:
+        """The layer loop of forward() and embed(): the last layer's output u and
+        its row norms s; each layer's input goes to layer_inputs unless it is None.
+
+        Bias and ReLU update each layer's fresh output in place. The ReLU is
+        fmax(h, 0) + 0, which maps -0.0 and NaN to +0.0 as np.where(h > 0, h, 0) does.
+        """
         x = np.asarray(inputs, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
-            raise ShapeMismatch(
-                f"inputs must be (n, {self.input_dim}), got shape {x.shape}"
-            )
+            raise ShapeMismatch(f"inputs must be (n, {self.input_dim}), got shape {x.shape}")
         if not np.isfinite(x).all():
             raise NonFiniteInput("embedder inputs contain NaN or infinity")
         a = x
-        layer_inputs = []
-        relu_masks = []
         for idx, (w, b) in enumerate(zip(self.weights, self.biases)):
-            layer_inputs.append(a)
-            h = a @ w + b
+            if layer_inputs is not None:
+                layer_inputs.append(a)
+            a = a @ w
+            a += b
             if idx < self.n_layers - 1:
-                mask = h > 0.0
-                relu_masks.append(mask)
-                a = np.where(mask, h, 0.0)
-            else:
-                a = h
-        u = a
-        s = np.sqrt((u * u).sum(axis=1) + EPS_NORM)
-        z = u / s[:, None]
-        cache = {
-            "layer_inputs": layer_inputs,
-            "relu_masks": relu_masks,
-            "u": u,
-            "s": s,
-        }
-        return z, cache
-
-    def embed(self, inputs: np.ndarray) -> np.ndarray:
-        z, _ = self.forward(inputs)
-        return z
+                np.fmax(a, 0.0, out=a)
+                a += 0.0
+        return a, np.sqrt((a * a).sum(axis=1) + EPS_NORM)
 
     def backward(self, cache: dict, grad_z: np.ndarray) -> np.ndarray:
         """Gradient of the loss w.r.t. params, laid out like params, for
@@ -151,8 +148,8 @@ class MLPEmbedder:
             dw, db = layers[idx]
             np.matmul(a_in.T, g, out=dw)
             g.sum(axis=0, out=db)
-            if idx > 0:
-                g = (g @ self.weights[idx].T) * cache["relu_masks"][idx - 1]
+            if idx > 0:  # the ReLU's mask: its output is > 0 where its input was
+                g = (g @ self.weights[idx].T) * (a_in > 0.0)
         return grad
 
     @classmethod

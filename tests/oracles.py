@@ -136,7 +136,7 @@ def per_layer_backward(embedder, cache, grad_z):
     for idx in range(embedder.n_layers - 1, -1, -1):
         grads[idx] = (cache["layer_inputs"][idx].T @ g, g.sum(axis=0))
         if idx > 0:
-            g = (g @ embedder.weights[idx].T) * cache["relu_masks"][idx - 1]
+            g = (g @ embedder.weights[idx].T) * (cache["layer_inputs"][idx] > 0)
     return grads
 
 

@@ -121,6 +121,22 @@ class TestSettingsTable:
             flag = "--no-drift" if key == "probe_drift" else "--" + key.replace("_", "-")
             assert flag in text, key
 
+    def test_train_sweep_and_drift_share_the_run_flags(self):
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        run_flags = {"--config", "--dataset", "--out"} | {
+            "--no-drift" if key == "probe_drift" else "--" + key.replace("_", "-")
+            for key in cli._SETTINGS
+        }
+        own = {
+            "train": {"--variant"},
+            "sweep": {"--axis", "--values", "--variants", "--seeds", "--workers"},
+            "drift": {"--variants"},
+        }
+        for name, extra in own.items():
+            parser = sub.choices[name]
+            flags = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+            assert flags == run_flags | extra, name
+
     def test_momentum_flag_removed(self, tmp_path, data_file):
         with pytest.raises(SystemExit) as exc:  # ema takes its momentum as ema:M
             main(train_argv(data_file, tmp_path, "--variant", "ema:0.3", "--momentum", "0.5"))

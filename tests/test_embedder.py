@@ -62,12 +62,77 @@ class TestForward:
     def test_wrong_width(self):
         with pytest.raises(ShapeMismatch):
             tiny_net().embed(np.zeros((2, 5)))
+        with pytest.raises(ShapeMismatch):
+            tiny_net().embed(np.zeros(3))
 
     def test_bad_dims(self):
         with pytest.raises(InvalidConfig):
             MLPEmbedder(())
         with pytest.raises(InvalidConfig):
             MLPEmbedder((4, 0, 2))
+
+
+class NegatedProduct(np.ndarray):
+    """Weights whose product with a layer input comes back negated.
+
+    With zero weights that plants a pre-activation of exactly -0.0, which a
+    BLAS that writes C = A B instead of adding into a zeroed C can return for
+    products that underflow; OpenBLAS, which adds into a zeroed C, never does.
+    """
+
+    def __rmatmul__(self, other):
+        return -(np.asarray(other) @ np.asarray(self))
+
+
+class TestEmbed:
+    """embed() is forward()'s embeddings without the backward cache."""
+
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
+    def test_equals_forward_bit_for_bit(self, depth):
+        rng = np.random.default_rng(depth)
+        for trial in range(10):
+            dims = rng.integers(1, 24, size=depth + 1)
+            net = MLPEmbedder(dims, seed=trial)
+            x = rng.normal(size=(int(rng.integers(0, 30)), dims[0])) * 10.0 ** (trial % 3)
+            z, _ = net.forward(x)
+            assert net.embed(x).tobytes() == z.tobytes()
+
+    def test_signed_zero_preactivations(self):
+        # Both layers' products are planted at -0.0 (rebinding the weights
+        # detaches them from params, which this test does not use); the bias
+        # keeps -0.0 in column 0 and turns it into +0.0 in column 1.
+        net = MLPEmbedder((3, 2, 2), seed=4)
+        for idx in range(2):
+            net.weights[idx] = np.zeros_like(net.weights[idx]).view(NegatedProduct)
+            net.biases[idx][...] = [-0.0, 0.0]
+        x = np.random.default_rng(4).normal(size=(5, 3))
+        pre = x @ net.weights[0] + net.biases[0]
+        np.testing.assert_array_equal(np.signbit(pre), [[True, False]] * 5)
+        z, cache = net.forward(x)
+        hidden = cache["layer_inputs"][1]
+        assert hidden.tobytes() == np.where(pre > 0, pre, 0.0).tobytes()
+        assert not np.signbit(hidden).any()
+        e = net.embed(x)
+        assert e.tobytes() == z.tobytes()
+        np.testing.assert_array_equal(np.signbit(e), [[True, False]] * 5)
+
+    def test_zero_depth_leaves_the_input_alone(self):
+        net = MLPEmbedder((3,))
+        x = np.array([[3.0, 0.0, 4.0], [-0.0, 0.0, -0.0]])
+        before = x.tobytes()
+        z = net.embed(x)
+        assert z is not x and not np.shares_memory(z, x)
+        assert x.tobytes() == before
+        assert z.tobytes() == net.forward(x)[0].tobytes()
+        np.testing.assert_array_equal(np.signbit(z[1]), [True, False, True])
+
+    def test_second_call_leaves_the_first_result_alone(self):
+        net = tiny_net()
+        rng = np.random.default_rng(6)
+        queries = net.embed(rng.normal(size=(7, 3)))
+        kept = queries.copy()
+        net.embed(rng.normal(size=(7, 3)))
+        assert queries.tobytes() == kept.tobytes()
 
 
 class TestBackward:
