@@ -6,17 +6,21 @@ own index); distinct batches score a separate query/gallery split.
 Similarities are accumulated in float64 and ties are broken by ascending
 gallery index, so results are deterministic and order-stable.
 
-No similarity is sorted. Under that order a query hits at k exactly when its
-best positive (the label match of highest similarity, lowest index among
-equals) has rank < k. Rank 0 is one argmax: the top candidate is a positive.
-For the other queries the rank is a count: the candidates of higher
-similarity plus those of equal similarity and lower index, none of which can
-be a positive. The best positive is read from the similarity block itself,
-at the query's positive columns only (the gallery is grouped by label once
-per call), so every comparison is between the same float values and the
-result is exactly the one a full sort gives. Queries are processed in chunks
-of rows whose similarities and gathered positives fit in `_CHUNK_BYTES`, so
-memory is bounded by that budget, not by queries × gallery.
+No similarity is sorted. Each chunk of query rows takes one plain gemm
+against a contiguous copy of the gallery's transpose (for gallery is queries,
+numpy's A @ A.T would take its slower syrk route). Under the order above a
+query hits at k exactly when its best positive (the label match of highest
+similarity, lowest index among equals) has rank < k. Rank 0 is one argmax:
+the top candidate is a positive. Otherwise the rank counts the candidates
+ahead: higher similarity, or equal similarity at a lower index, never a
+positive. The best positive is read from the similarity block at the query's
+positive columns only (the gallery is grouped by label once per call), so
+every comparison is between the same floats and the result is a full sort's.
+On galleries up to `_GROUP_WIDTH` columns the misses are counted in groups of
+rows, and the rare row with an equal similarity alone; on wider ones a
+row-by-row count is cheaper. Chunks hold the similarities and gathered
+positives within `_CHUNK_BYTES`, so memory is bounded by that budget, not by
+queries × gallery.
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ __all__ = ["recall_at_k"]
 # one (their indices, values and comparison, all alive at the gather's peak).
 _CHUNK_BYTES = 16 << 20
 _GATHER_BYTES = 32
+_GROUP_WIDTH = 1400
+_GROUP_BYTES = 256 << 10
 
 
 def _check_k_values(k_values) -> tuple[int, ...]:
@@ -84,10 +90,11 @@ def recall_at_k(
     step = max(1, _CHUNK_BYTES // (8 * gallery.n + _GATHER_BYTES * most))
     sims = np.empty((min(step, queries.n), gallery.n))
     ranks = np.full(queries.n, ks[-1])
+    gallery_t = np.ascontiguousarray(gallery.vectors.T)
     for lo in range(0, queries.n, step):
         hi = min(lo + step, queries.n)
         block = sims[: hi - lo]
-        np.matmul(queries.vectors[lo:hi], gallery.vectors.T, out=block)
+        np.matmul(queries.vectors[lo:hi], gallery_t, out=block)
         if single:
             rows = np.arange(hi - lo)
             block[rows, lo + rows] = -np.inf
@@ -95,11 +102,7 @@ def recall_at_k(
         ranks[lo:hi][top] = 0
         miss = np.flatnonzero(~top & (counts[lo:hi] > single))
         best, first = _best_positives(block, miss, order, starts[lo + miss], counts[lo + miss])
-        for i, b, f in zip(miss.tolist(), best.tolist(), first.tolist()):
-            rank = np.count_nonzero(block[i] > b)
-            if rank < ks[-1]:
-                rank += np.count_nonzero(block[i, :f] == b)
-            ranks[lo + i] = rank
+        ranks[lo + miss] = _ranks_ahead(block, miss, best, first, ks[-1])
     return {k: int(np.count_nonzero(ranks < k)) / queries.n for k in ks}
 
 
@@ -115,3 +118,19 @@ def _best_positives(block, rows, order, starts, counts) -> tuple[np.ndarray, np.
     best = np.maximum.reduceat(vals, seg)
     at = np.flatnonzero(vals == np.repeat(best, counts))
     return best, cols[at[np.searchsorted(at, seg)]]
+
+
+def _ranks_ahead(block, rows, best, first, k_max) -> np.ndarray:
+    """Rank of each row's best positive (value best, column first); exact below k_max."""
+    ranks = np.full(len(rows), -1)  # -1: counted row by row below
+    if block.shape[1] <= _GROUP_WIDTH:
+        step = max(1, _GROUP_BYTES // (8 * block.shape[1]))
+        for lo in range(0, len(rows), step):
+            sub, b = block[rows[lo:lo + step]], best[lo:lo + step, None]
+            tied = (sub == b).sum(axis=1, dtype=np.int32) > 1
+            ranks[lo:lo + step] = np.where(tied, -1, (sub > b).sum(axis=1, dtype=np.int32))
+    loop = np.flatnonzero(ranks < 0)
+    for j, i, b, f in zip(loop, rows[loop].tolist(), best[loop].tolist(), first[loop].tolist()):
+        rank = np.count_nonzero(block[i] > b)
+        ranks[j] = rank + np.count_nonzero(block[i, :f] == b) if rank < k_max else rank
+    return ranks

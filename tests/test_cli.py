@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import os
 import subprocess
@@ -550,7 +551,8 @@ class TestSweep:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        # cli imports the pool class from concurrent.futures only when it builds one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         assert self.sweep(data_file, tmp_path / "sweep", "--axis", "batch-size",
                           "--values", "6", "--variants", "no-xbm,xbm,xbn", "--seeds", "0",

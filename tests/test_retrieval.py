@@ -265,6 +265,22 @@ def assert_matches_oracle(q, g, ks):
     return expected
 
 
+# Missed rows are ranked either in groups of rows gathered under _GROUP_BYTES
+# (galleries up to _GROUP_WIDTH columns) or one row at a time; these force each
+# path whatever the gallery's width, with groups of one row and groups at least
+# as large as any chunk.
+RANK_PATHS = {
+    "loop": {"_GROUP_WIDTH": 0},
+    "one-row-groups": {"_GROUP_WIDTH": 10**9, "_GROUP_BYTES": 1},
+    "whole-chunk-groups": {"_GROUP_WIDTH": 10**9, "_GROUP_BYTES": retrieval._CHUNK_BYTES},
+}
+
+
+def force_rank_path(monkeypatch, path):
+    for name, value in RANK_PATHS[path].items():
+        monkeypatch.setattr(retrieval, name, value)
+
+
 class TestEdgeCases:
     """Hand-built rankings at the places where a hit is decided, each against the oracle."""
 
@@ -361,3 +377,52 @@ class TestEdgeCases:
         monkeypatch.setattr(retrieval, "_CHUNK_BYTES", budget)
         out = assert_matches_oracle(q, g, (1, 2, 5, 10))
         assert (out[1] > 0.9) if mostly == "hit" else (out[1] < 0.5)
+
+
+class TestEdgeCasesOnForcedRankPaths(TestEdgeCases):
+    """Every edge case again, with the misses ranked by the row loop or in one-row groups
+    (the small galleries above take whole-chunk groups by default)."""
+
+    @pytest.fixture(autouse=True, params=["loop", "one-row-groups"])
+    def rank_path(self, request, monkeypatch):
+        force_rank_path(monkeypatch, request.param)
+
+
+@pytest.mark.parametrize("path", sorted(RANK_PATHS))
+@pytest.mark.parametrize("single", [True, False])
+@pytest.mark.parametrize("tied,rank", [((), 1), ((1,), 2), ((3,), 1), ((1, 3), 2)])
+def test_negative_tied_with_the_best_positive(monkeypatch, path, single, tied, rank):
+    # column 0 is a negative ahead of everything and the best positive sits at
+    # column 2; a negative equal to it at column 1 counts toward its rank, one
+    # at column 3 does not
+    force_rank_path(monkeypatch, path)
+    sims = [1.0] + [0.5 if c in tied else 0.25 for c in (1, 3)]
+    vectors = np.array([[sims[0], 0.0], [sims[1], 0.0], [0.5, 0.0], [sims[2], 0.0], [-1.0, 0.0]])
+    g = EmbeddingBatch(vectors=vectors, labels=np.array([9, 9, 7, 9, 9]))
+    if single:  # the query joins the set as its last row
+        q = g = EmbeddingBatch(
+            vectors=np.vstack([vectors, [[1.0, 0.0]]]), labels=np.array([9, 9, 7, 9, 9, 7])
+        )
+        assert_matches_oracle(q, g, (1, 2, 3))
+        return
+    out = assert_matches_oracle(TestEdgeCases.Q, g, (1, 2, 3))
+    assert out == {1: 0.0, 2: float(rank < 2), 3: 1.0}
+
+
+@pytest.mark.parametrize("path", sorted(RANK_PATHS))
+@pytest.mark.parametrize("chunk_rows", [1, 3, None])
+def test_rank_paths_exact_on_ties(monkeypatch, path, chunk_rows):
+    # tie-heavy inputs in both protocols: each path, cut into chunks of 1 or 3
+    # query rows or left whole, gives exactly the recall of a full sort
+    force_rank_path(monkeypatch, path)
+    rng = np.random.default_rng(1301)
+    for _ in range(40):
+        dim, n_classes = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        q = quarter_grid_batch(rng, int(rng.integers(3, 30)), dim, n_classes)
+        for g in (q, quarter_grid_batch(rng, int(rng.integers(2, 30)), dim, n_classes)):
+            ks = tuple(range(1, min(g.n - (g is q), 12)))
+            if not ks:
+                continue
+            if chunk_rows is not None:
+                monkeypatch.setattr(retrieval, "_CHUNK_BYTES", chunk_rows * 8 * g.n)
+            assert_matches_oracle(q, g, ks)
