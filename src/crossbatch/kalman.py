@@ -59,9 +59,9 @@ class KalmanState:
     def dim(self) -> int:
         return self.mean_est.shape[0]
 
-    def to_stats(self, count: int) -> MomentStats:
+    def to_stats(self) -> MomentStats:
         """Current estimates as moment statistics usable as a transform target."""
-        return MomentStats(mean=self.mean_est.copy(), std=self.std_est.copy(), count=count)
+        return MomentStats(mean=self.mean_est.copy(), std=self.std_est.copy())
 
 
 def kalman_init(first_obs: MomentStats, config: KalmanConfig) -> KalmanState:

@@ -1,11 +1,21 @@
 """Ranking losses between a minibatch and a reference set, with analytic gradients.
 
-All distances are cosine distances d = 1 - <a, b> on unit-normalized vectors,
-computed in one minibatch x reference matrix pass. Gradients are taken with
-respect to minibatch rows only: reference rows are constants (no gradient into
-stored memory), except that a minibatch row re-appearing inside the reference
-at self_offset receives the gradient from that role too, since it is the same
-live embedding.
+The reference always ends with the minibatch: an (n-row) batch is ranked
+against m >= n reference rows, the first m - n of them other rows (none for
+no-xbm, the stored memory for xbm) and the last n the batch itself, in order.
+So query row i's self-pair is reference column m - n + i, which is never
+mined. A reference shorter than the batch raises ShapeMismatch.
+
+Distances are d = 1 - <a, b>, computed in one minibatch x reference matrix
+pass. That is the cosine distance only for unit rows. The embedder emits unit
+rows, but memory rows moment-matched by MemoryBank.adapt are not
+re-normalized (norms of 0.78-1.27 measured on the desk configuration), so
+against them d is an inner-product distance on a stretched scale.
+
+Gradients are taken with respect to minibatch rows only: reference rows are
+constants (no gradient into stored memory), except the reference's tail,
+which is the same live embedding as the batch and so also receives the
+gradient from that role.
 """
 
 from __future__ import annotations
@@ -31,7 +41,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PairMinerConfig:
-    """Margins, in cosine-distance units, for pair selection and the hinges."""
+    """Margins, in distance units, for pair selection and the hinges."""
 
     pos_margin: float = 0.2
     neg_margin: float = 0.8
@@ -50,16 +60,12 @@ class MinedPairs:
 
     pos_mask and neg_mask are (n_batch, n_reference) boolean masks over
     distances, the matrix they were mined from, so the loss reuses it instead
-    of building it again. self_offset records where the minibatch rows sit
-    inside the reference, so losses can route gradients to both roles of a
-    minibatch row. cfg holds the margins the masks were mined with.
+    of building it again.
     """
 
     pos_mask: np.ndarray  # (n_batch, n_reference) bool
     neg_mask: np.ndarray  # (n_batch, n_reference) bool
     distances: np.ndarray  # (n_batch, n_reference) float
-    self_offset: int
-    cfg: PairMinerConfig
 
     @property
     def positives(self) -> np.ndarray:
@@ -82,83 +88,68 @@ class LossOutput:
 
 
 def distance_matrix(batch_vectors: np.ndarray, reference_vectors: np.ndarray) -> np.ndarray:
-    """Cosine distances, batch rows x reference rows."""
+    """Distances 1 - <a, b>, batch rows x reference rows."""
     d = batch_vectors @ reference_vectors.T
     return np.subtract(1.0, d, out=d)
 
 
-def _drop_self_pairs(mask: np.ndarray, self_offset: int) -> np.ndarray:
-    """Clear, in place, the self-pairs (i, self_offset + i) that fall inside mask."""
-    rows = np.arange(max(-self_offset, 0), min(mask.shape[0], mask.shape[1] - self_offset))
-    mask[rows, rows + self_offset] = False
+def _drop_self_pairs(mask: np.ndarray) -> np.ndarray:
+    """Clear, in place, the self-pairs (i, m - n + i) of an (n, m) mask."""
+    n, m = mask.shape
+    if m < n:
+        raise ShapeMismatch(f"a reference of {m} rows cannot end with a batch of {n}")
+    np.fill_diagonal(mask[:, m - n :], False)
     return mask
 
 
 def mine_pairs(
-    batch: EmbeddingBatch,
-    reference: EmbeddingBatch,
-    cfg: PairMinerConfig,
-    self_offset: int,
+    batch: EmbeddingBatch, reference: EmbeddingBatch, cfg: PairMinerConfig
 ) -> MinedPairs:
     """Margin mining over the full distance matrix.
 
-    Positives: equal label, distance > pos_margin, excluding the positional
-    self-pair (reference column self_offset + i for query i). Negatives:
-    different label, distance < neg_margin. Duplicate embeddings of the same
-    class at other positions still form valid pairs.
+    Positives: equal label, distance > pos_margin, excluding the self-pair
+    (reference column m - n + i for query i). Negatives: different label,
+    distance < neg_margin. Duplicate embeddings of the same class at other
+    positions still form valid pairs.
     """
     d = distance_matrix(batch.vectors, reference.vectors)
     same = batch.labels[:, None] == reference.labels[None, :]
-    pos_mask = _drop_self_pairs(same & (d > cfg.pos_margin), self_offset)
+    pos_mask = _drop_self_pairs(same & (d > cfg.pos_margin))
     neg_mask = ~same & (d < cfg.neg_margin)
-    return MinedPairs(pos_mask, neg_mask, d, self_offset, cfg)
+    return MinedPairs(pos_mask, neg_mask, d)
 
 
 def _weights_to_grad(
-    weights: np.ndarray,
-    batch_vectors: np.ndarray,
-    reference_vectors: np.ndarray,
-    self_offset: int,
+    weights: np.ndarray, batch_vectors: np.ndarray, reference_vectors: np.ndarray
 ) -> np.ndarray:
     """Gradient of sum_ij weights[i,j] * d[i,j] with respect to the minibatch rows.
 
     d[i,j] = 1 - <b_i, r_j>, so the query role contributes -weights @ R and the
-    reference role of minibatch row i' (= column self_offset + i') contributes
-    -weights[:, col].T @ B back onto that row.
+    reference role of minibatch row i (column m - n + i) contributes
+    -weights[:, m - n:].T @ B back onto that row.
     """
-    grad = -(weights @ reference_vectors)
     n, m = weights.shape
-    lo = max(self_offset, 0)
-    hi = min(self_offset + n, m)
-    if hi > lo:
-        grad[lo - self_offset : hi - self_offset] += -(weights[:, lo:hi].T @ batch_vectors)
+    grad = -(weights @ reference_vectors)
+    grad -= weights[:, m - n :].T @ batch_vectors
     return grad
 
 
 def contrastive_loss(
-    batch: EmbeddingBatch,
-    reference: EmbeddingBatch,
-    pairs: MinedPairs,
-    cfg: PairMinerConfig,
+    batch: EmbeddingBatch, reference: EmbeddingBatch, cfg: PairMinerConfig
 ) -> LossOutput:
-    """Margin-hinge contrastive loss over mined pairs.
+    """Margin-hinge contrastive loss over the pairs mine_pairs selects.
 
     value = mean over positives of [d - pos_margin]_+
           + mean over negatives of [neg_margin - d]_+,
     each mean over its own nonempty set (an empty set contributes 0).
 
-    pairs must come from mine_pairs(batch, reference, cfg, ...): the loss
-    reads their distance matrix rather than recomputing it, and relies on the
-    miner's predicates (d > pos_margin, d < neg_margin) for every mined hinge
-    being active, so the gradient weight of a pair is just 1/n_pos or -1/n_neg.
+    The loss reads the miner's distance matrix rather than recomputing it, and
+    relies on the miner's predicates (d > pos_margin, d < neg_margin) for
+    every mined hinge being active, so the gradient weight of a pair is just
+    1/n_pos or -1/n_neg.
     """
+    pairs = mine_pairs(batch, reference, cfg)
     d = pairs.distances
-    if d.shape != (batch.n, reference.n):
-        raise ShapeMismatch(
-            f"pairs were mined over a {d.shape} matrix, not ({batch.n}, {reference.n})"
-        )
-    if pairs.cfg != cfg:
-        raise InvalidConfig(f"pairs were mined with {pairs.cfg}, not {cfg}")
     # row-major, the order of pairs.positives and pairs.negatives; positives
     # are few, so they are taken by index
     pos = np.flatnonzero(pairs.pos_mask)
@@ -173,16 +164,11 @@ def contrastive_loss(
         np.put(weights, pos, 1.0 / pos_d.size)
     if neg_d.size:
         value += float((cfg.neg_margin - neg_d).sum() / neg_d.size)
-    grad = _weights_to_grad(weights, batch.vectors, reference.vectors, pairs.self_offset)
+    grad = _weights_to_grad(weights, batch.vectors, reference.vectors)
     return LossOutput(value=value, grad=grad)
 
 
-def triplet_loss(
-    batch: EmbeddingBatch,
-    reference: EmbeddingBatch,
-    margin: float,
-    self_offset: int,
-) -> LossOutput:
+def triplet_loss(batch: EmbeddingBatch, reference: EmbeddingBatch, margin: float) -> LossOutput:
     """Triplet loss over all valid (anchor, positive, negative) reference triplets.
 
     Each anchor averages [d(a,p) - d(a,n) + margin]_+ over its full triplet set;
@@ -193,7 +179,7 @@ def triplet_loss(
         raise InvalidConfig(f"margin must be >= 0, got {margin}")
     d = distance_matrix(batch.vectors, reference.vectors)
     same = batch.labels[:, None] == reference.labels[None, :]
-    same_not_self = _drop_self_pairs(same.copy(), self_offset)
+    same_not_self = _drop_self_pairs(same.copy())
     weights = np.zeros_like(d)
     total = 0.0
     anchors_used = 0
@@ -212,7 +198,7 @@ def triplet_loss(
     if anchors_used == 0:
         return LossOutput(value=0.0, grad=np.zeros_like(batch.vectors))
     weights /= anchors_used
-    grad = _weights_to_grad(weights, batch.vectors, reference.vectors, self_offset)
+    grad = _weights_to_grad(weights, batch.vectors, reference.vectors)
     return LossOutput(value=total / anchors_used, grad=grad)
 
 
@@ -228,19 +214,11 @@ def xbm_loss(
     followed by the batch. xbm-star: sum of the two. The bank is read, never
     modified; enqueueing and adaptation are the trainer's job before this call.
     """
-    def minibatch_only() -> LossOutput:
-        pairs = mine_pairs(batch, batch, cfg, self_offset=0)
-        return contrastive_loss(batch, batch, pairs, cfg)
-
-    def with_memory() -> LossOutput:
-        reference = bank.reference_set(batch)
-        pairs = mine_pairs(batch, reference, cfg, self_offset=len(bank))
-        return contrastive_loss(batch, reference, pairs, cfg)
-
     if variant == "no-xbm":
-        return minibatch_only()
+        return contrastive_loss(batch, batch, cfg)
     if variant == "xbm":
-        return with_memory()
+        return contrastive_loss(batch, bank.reference_set(batch), cfg)
     if variant == "xbm-star":
-        return minibatch_only() + with_memory()
+        own = contrastive_loss(batch, batch, cfg)
+        return own + contrastive_loss(batch, bank.reference_set(batch), cfg)
     raise InvalidConfig(f"variant must be one of no-xbm, xbm, xbm-star, got {variant!r}")

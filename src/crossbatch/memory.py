@@ -2,6 +2,11 @@
 
 The bank stores plain detached numbers: nothing here carries gradient
 linkage. Exactly one training loop owns and mutates a bank.
+
+adapt's per-dimension affine map does not preserve row norms, so adapted
+rows are not unit vectors (norms of 0.78-1.27 measured on the desk
+configuration), and the losses' d = 1 - <a, b> against them is not a cosine
+distance.
 """
 
 from __future__ import annotations

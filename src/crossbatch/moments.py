@@ -73,7 +73,6 @@ class MomentStats:
 
     mean: np.ndarray
     std: np.ndarray
-    count: int
 
     def __post_init__(self):
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=np.float64))
@@ -97,7 +96,7 @@ def compute_moments(batch: EmbeddingBatch) -> MomentStats:
         raise InsufficientSamples(f"moment computation needs >= 2 rows, got {batch.n}")
     centered = np.empty_like(batch.vectors)
     mean, std = _moments_into(batch.vectors, centered, centered)
-    return MomentStats(mean=mean, std=std, count=batch.n)
+    return MomentStats(mean=mean, std=std)
 
 
 def _moments_into(rows: np.ndarray, centered: np.ndarray, squares: np.ndarray):

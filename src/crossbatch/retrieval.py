@@ -43,8 +43,8 @@ _GROUP_WIDTH = 1400
 _GROUP_BYTES = 256 << 10
 
 
-def _check_k_values(k_values) -> tuple[int, ...]:
-    """k_values as a tuple of ints, each >= 1 and strictly ascending."""
+def _check_k_values(k_values, gallery_size: int | None = None) -> tuple[int, ...]:
+    """k_values as ints, each >= 1, strictly ascending and below gallery_size if given."""
     ks = tuple(k_values)
 
     def bad(why: str) -> InvalidConfig:
@@ -60,6 +60,8 @@ def _check_k_values(k_values) -> tuple[int, ...]:
         raise bad("k < 1")
     if any(a >= b for a, b in zip(ints, ints[1:])):
         raise bad("not strictly ascending")
+    if gallery_size is not None and ints[-1] >= gallery_size:
+        raise InvalidConfig(f"k={ints[-1]} must be < effective gallery size {gallery_size}")
     return ints
 
 
@@ -72,13 +74,10 @@ def recall_at_k(
     excluded from its candidates, so the effective gallery size is n - 1.
     Every requested k must be smaller than the effective gallery size.
     """
-    ks = _check_k_values(k_values)
+    single = gallery is queries
+    ks = _check_k_values(k_values, gallery.n - single)
     if queries.dim != gallery.dim:
         raise DimensionMismatch(f"query dim {queries.dim} != gallery dim {gallery.dim}")
-    single = gallery is queries
-    effective = gallery.n - 1 if single else gallery.n
-    if ks[-1] >= effective:
-        raise InvalidConfig(f"k={ks[-1]} must be < effective gallery size {effective}")
     if queries.n == 0:
         raise InvalidConfig("no queries to evaluate")
 

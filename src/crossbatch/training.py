@@ -202,13 +202,8 @@ def _rng(seed: int, *tags: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, tags)]))
 
 
-def sample_pk_batches(labels, batch_size: int, samples_per_class: int, seed) -> list[np.ndarray]:
-    """Index batches of batch_size/samples_per_class distinct classes, K rows each.
-
-    Classes with fewer than K instances are resampled with replacement. An
-    epoch covers ceil(n / batch_size) batches; deterministic per seed.
-    """
-    labels = np.asarray(labels)
+def _classes_per_batch(n_classes: int, batch_size: int, samples_per_class: int) -> int:
+    """P = batch_size / samples_per_class classes per P-K batch, checked against n_classes."""
     if batch_size < 1 or samples_per_class < 1:
         raise InvalidConfig(
             f"batch_size and samples_per_class must be >= 1, got {batch_size}, {samples_per_class}"
@@ -217,10 +212,21 @@ def sample_pk_batches(labels, batch_size: int, samples_per_class: int, seed) -> 
         raise InvalidConfig(
             f"batch_size {batch_size} not divisible by samples_per_class {samples_per_class}"
         )
-    classes = np.unique(labels)
     p = batch_size // samples_per_class
-    if len(classes) < p:
-        raise InvalidConfig(f"need >= {p} distinct classes, dataset has {len(classes)}")
+    if n_classes < p:
+        raise InvalidConfig(f"need >= {p} distinct classes, dataset has {n_classes}")
+    return p
+
+
+def sample_pk_batches(labels, batch_size: int, samples_per_class: int, seed) -> list[np.ndarray]:
+    """Index batches of batch_size/samples_per_class distinct classes, K rows each.
+
+    Classes with fewer than K instances are resampled with replacement. An
+    epoch covers ceil(n / batch_size) batches; deterministic per seed.
+    """
+    labels = np.asarray(labels)
+    classes = np.unique(labels)
+    p = _classes_per_batch(len(classes), batch_size, samples_per_class)
     pools = {c: np.where(labels == c)[0] for c in classes}
     rng = np.random.default_rng(seed)
     n_batches = math.ceil(len(labels) / batch_size)
@@ -251,6 +257,15 @@ class TrainingRun:
         self.train_labels = dataset.train_labels()
         if len(self.train_labels) == 0:
             raise InvalidConfig("dataset has no train rows")
+        # what the first epoch and the first validation would reject, rejected now
+        _classes_per_batch(
+            len(np.unique(self.train_labels)), config.batch_size, config.samples_per_class
+        )
+        self._validates = TAG_VAL_QUERY in dataset.splits
+        if self._validates:
+            single = dataset.single_set  # each query is then left out of its own gallery
+            gallery = dataset.rows(TAG_VAL_QUERY if single else TAG_VAL_GALLERY)
+            _check_k_values(config.recall_ks, len(gallery) - single)
         capacity = config.resolve_capacity(len(self.train_labels))
         if variant.uses_memory and 0 < capacity < config.batch_size:
             raise InvalidConfig(
@@ -273,7 +288,6 @@ class TrainingRun:
         probe_rows = _rng(config.seed, 2).choice(len(self.train_labels), size=n_probe, replace=False)
         self.probe_inputs = self.train_features[probe_rows]
         self._prev_probe_z = self.embedder.embed(self.probe_inputs) if config.probe_drift else None
-        self._validates = TAG_VAL_QUERY in dataset.splits
 
     def _stage_epoch(self) -> int:
         """Epoch index within the current stage, for the LR schedule."""
@@ -310,7 +324,7 @@ class TrainingRun:
                     self.kalman_state = ema_step(self.kalman_state, obs, self.variant.momentum)
                 gain_val = self.kalman_state.gain
                 if len(self.bank) >= 2:
-                    self.bank.adapt(self.kalman_state.to_stats(batch.n))
+                    self.bank.adapt(self.kalman_state.to_stats())
             out = xbm_loss(batch, self.bank, config.miner, reference)
             if not np.isfinite(out.value):
                 raise NonFiniteLoss("non-finite loss", self.global_step)

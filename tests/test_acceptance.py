@@ -100,7 +100,7 @@ def test_a1_moment_matching_exact(capsys):
         vectors = rng.uniform(-3.0, 3.0, d) + rng.uniform(0.1, 3.0, d) * rng.standard_normal((n, d))
         bank = MemoryBank(capacity=n, dim=d)
         bank.enqueue(EmbeddingBatch(vectors=vectors, labels=rng.integers(0, 5, size=n)))
-        target = MomentStats(mean=rng.uniform(-3.0, 3.0, d), std=rng.uniform(0.1, 3.0, d), count=n)
+        target = MomentStats(mean=rng.uniform(-3.0, 3.0, d), std=rng.uniform(0.1, 3.0, d))
         bank.adapt(target)
         got = bank.stats()
         worst_mean = max(worst_mean, float(np.abs(got.mean - target.mean).max()))
@@ -249,7 +249,7 @@ def test_a3_kalman_recursion(capsys):
 
     rng = np.random.default_rng(3)
     obs = [
-        MomentStats(mean=rng.uniform(-1.0, 1.0, 4), std=rng.uniform(0.5, 2.0, 4), count=1)
+        MomentStats(mean=rng.uniform(-1.0, 1.0, 4), std=rng.uniform(0.5, 2.0, 4))
         for _ in range(11)
     ]
     cfg = KalmanConfig(q=1.0, r=1.0, p0=1.0, gain_interval=1)
@@ -328,10 +328,9 @@ def test_a4_gradients_match_finite_differences(capsys):
         def loss_out(z):
             batch = EmbeddingBatch(vectors=z, labels=labels)
             if loss_kind == "contrastive":
-                pairs = mine_pairs(batch, batch, miner, self_offset=0)
-                return contrastive_loss(batch, batch, pairs, miner)
+                return contrastive_loss(batch, batch, miner)
             if loss_kind == "triplet":
-                return triplet_loss(batch, batch, margin=0.4, self_offset=0)
+                return triplet_loss(batch, batch, margin=0.4)
             return xbm_loss(batch, bank, miner, loss_kind)
 
         z, cache = emb.forward(x)
@@ -383,11 +382,11 @@ def test_a5_oracle_parity(capsys):
                 vectors=np.concatenate([extra.vectors, batch.vectors]),
                 labels=np.concatenate([extra.labels, batch.labels]),
             )
-            offset = n_extra
         else:
-            ref, offset = batch, 0
+            ref = batch
+        offset = ref.n - batch.n
 
-        pairs = mine_pairs(batch, ref, miner, self_offset=offset)
+        pairs = mine_pairs(batch, ref, miner)
         pos_o, neg_o = brute_force_pairs(
             batch.vectors.tolist(), batch.labels.tolist(),
             ref.vectors.tolist(), ref.labels.tolist(),
@@ -397,7 +396,7 @@ def test_a5_oracle_parity(capsys):
                 or sorted(map(tuple, pairs.negatives)) != sorted(neg_o)):
             pair_bad += 1
 
-        got = triplet_loss(batch, ref, margin=0.4, self_offset=offset).value
+        got = triplet_loss(batch, ref, margin=0.4).value
         want = brute_force_triplet(
             batch.vectors.tolist(), batch.labels.tolist(),
             ref.vectors.tolist(), ref.labels.tolist(), 0.4, offset,

@@ -298,13 +298,19 @@ class TestFlagValidation:
         assert err.startswith("error: ")
         assert needle in err
 
-    def test_recall_ks_without_r1_rejected_before_training(self, tmp_path, data_file, capsys):
+    @pytest.mark.parametrize("extra,needle", [
         # the best epoch is picked by R@1, so training without it is refused
+        (("--recall-ks", "5"), "recall_ks must start with 1"),
+        # 18 single-set validation rows leave 17 candidates per query
+        (("--recall-ks", "1,17"), "k=17 must be < effective gallery size 17"),
+        # 7 classes per batch, from a train split of 6
+        (("--batch-size", "14"), "need >= 7 distinct classes, dataset has 6"),
+    ])
+    def test_rejected_before_training(self, tmp_path, data_file, capsys, extra, needle):
         out = tmp_path / "out"
-        code = main(train_argv(data_file, out, "--variant", "xbn", "--recall-ks", "5"))
-        assert code == 2
-        assert "recall_ks must start with 1" in capsys.readouterr().err
-        assert not out.exists()  # no run directory, so no checkpoint.xbnc
+        assert main(train_argv(data_file, out, "--variant", "xbn", *extra)) == 2
+        assert needle in capsys.readouterr().err
+        assert not out.exists()  # no run directory, so no config.txt or checkpoint.xbnc
 
     @pytest.mark.parametrize("extra", [
         ("--variant", "axbn", "--q", "inf"),

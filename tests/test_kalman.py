@@ -16,9 +16,9 @@ from crossbatch import (
 from oracles import filtered_estimates, iterate_gain, kalman_trace
 
 
-def stats(mean, std, count=16):
+def stats(mean, std):
     return MomentStats(mean=np.asarray(mean, dtype=np.float64),
-                       std=np.asarray(std, dtype=np.float64), count=count)
+                       std=np.asarray(std, dtype=np.float64))
 
 
 def unit_obs(d=3):

@@ -60,7 +60,7 @@ class TestMinePairs:
     def test_single_class_identical_vectors_mines_nothing(self):
         v = np.tile(unit_rows(1, 4, seed=2), (3, 1))
         batch = EmbeddingBatch(vectors=v, labels=np.zeros(3, dtype=np.int64))
-        pairs = mine_pairs(batch, batch, CFG, self_offset=0)
+        pairs = mine_pairs(batch, batch, CFG)
         assert len(pairs.positives) == 0  # d = 0 is not > pos_margin
         assert len(pairs.negatives) == 0  # no second class
 
@@ -70,26 +70,23 @@ class TestMinePairs:
         theta = np.arccos(0.5)
         v = np.array([[1.0, 0.0], [np.cos(theta), np.sin(theta)]])
         same = EmbeddingBatch(vectors=v, labels=np.array([1, 1]))
-        pairs = mine_pairs(same, same, CFG, self_offset=0)
+        pairs = mine_pairs(same, same, CFG)
         assert sorted(map(tuple, pairs.positives)) == [(0, 1), (1, 0)]
         diff = EmbeddingBatch(vectors=v, labels=np.array([1, 2]))
-        pairs = mine_pairs(diff, diff, CFG, self_offset=0)
+        pairs = mine_pairs(diff, diff, CFG)
         assert sorted(map(tuple, pairs.negatives)) == [(0, 1), (1, 0)]
 
     def test_self_pair_is_positional_not_value_based(self):
-        # row 0 duplicated at reference position 2 with the same label: the
-        # duplicate still forms a positive pair candidate (here d=0 fails the
-        # margin, so push them apart slightly)
-        a = np.array([1.0, 0.0])
-        b = np.array([np.cos(0.9), np.sin(0.9)])  # d ~ 0.38 from a
+        # batch row 0 also sits at reference column 0, ahead of the batch, with
+        # the same label. Rows of norm 1/2 sit 0.75 from themselves, so that
+        # duplicate is mined as a positive; only the self-pair (0, 1) is not.
+        a = 0.5 * np.array([1.0, 0.0])
+        b = 0.5 * np.array([np.cos(0.9), np.sin(0.9)])
         batch = EmbeddingBatch(vectors=np.stack([a, b]), labels=np.array([4, 4]))
-        reference = EmbeddingBatch(
-            vectors=np.stack([a, b, a]), labels=np.array([4, 4, 4])
-        )
-        pairs = mine_pairs(batch, reference, CFG, self_offset=0)
+        reference = EmbeddingBatch(vectors=np.stack([a, a, b]), labels=np.array([4, 4, 4]))
+        pairs = mine_pairs(batch, reference, CFG)
         got = sorted(map(tuple, pairs.positives))
-        # (0,1): cross pair; (0,2) excluded? no — self is (0,0) only; (1,2) valid
-        assert got == [(0, 1), (1, 0), (1, 2)]
+        assert got == [(0, 0), (0, 2), (1, 0), (1, 1)]
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_brute_force(self, seed):
@@ -103,14 +100,13 @@ class TestMinePairs:
                 vectors=np.concatenate([extra.vectors, batch.vectors]),
                 labels=np.concatenate([extra.labels, batch.labels]),
             )
-            offset = n_extra
         else:
-            reference, offset = batch, 0
-        pairs = mine_pairs(batch, reference, CFG, self_offset=offset)
+            reference = batch
+        pairs = mine_pairs(batch, reference, CFG)
         pos_o, neg_o = brute_force_pairs(
             batch.vectors.tolist(), batch.labels.tolist(),
             reference.vectors.tolist(), reference.labels.tolist(),
-            CFG.pos_margin, CFG.neg_margin, offset,
+            CFG.pos_margin, CFG.neg_margin, reference.n - batch.n,
         )
         assert sorted(map(tuple, pairs.positives)) == sorted(pos_o)
         assert sorted(map(tuple, pairs.negatives)) == sorted(neg_o)
@@ -121,18 +117,16 @@ class TestContrastiveLoss:
         batch = unit_batch(3, 4, seed=5, n_classes=1)
         v = np.tile(batch.vectors[:1], (3, 1))
         batch = EmbeddingBatch(vectors=v, labels=batch.labels * 0)
-        pairs = mine_pairs(batch, batch, CFG, self_offset=0)
-        out = contrastive_loss(batch, batch, pairs, CFG)
+        out = contrastive_loss(batch, batch, CFG)
         assert out.value == 0.0
         np.testing.assert_array_equal(out.grad, np.zeros_like(batch.vectors))
 
     def test_single_positive_pair_hand_value(self):
         theta = np.arccos(0.5)  # d = 0.5
-        v = np.array([[1.0, 0.0], [np.cos(theta), np.sin(theta)]])
-        batch = EmbeddingBatch(vectors=v[:1], labels=np.array([3]))
-        reference = EmbeddingBatch(vectors=v[1:], labels=np.array([3]))
-        pairs = mine_pairs(batch, reference, CFG, self_offset=1)  # batch not in reference
-        out = contrastive_loss(batch, reference, pairs, CFG)
+        v = np.array([[np.cos(theta), np.sin(theta)], [1.0, 0.0]])
+        batch = EmbeddingBatch(vectors=v[1:], labels=np.array([3]))
+        reference = EmbeddingBatch(vectors=v, labels=np.array([3, 3]))  # the batch is its tail
+        out = contrastive_loss(batch, reference, CFG)
         assert out.value == pytest.approx(0.5 - 0.2, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -143,8 +137,7 @@ class TestContrastiveLoss:
             vectors=np.concatenate([bankv.vectors, batch.vectors]),
             labels=np.concatenate([bankv.labels, batch.labels]),
         )
-        pairs = mine_pairs(batch, reference, CFG, self_offset=5)
-        out = contrastive_loss(batch, reference, pairs, CFG)
+        out = contrastive_loss(batch, reference, CFG)
         want = brute_force_contrastive(
             batch.vectors.tolist(), batch.labels.tolist(),
             reference.vectors.tolist(), reference.labels.tolist(),
@@ -162,15 +155,13 @@ class TestContrastiveLoss:
                 vectors=np.concatenate([bank_rows.vectors, vectors]),
                 labels=np.concatenate([bank_rows.labels, batch.labels]),
             )
-            pairs = mine_pairs(b, ref, CFG, self_offset=6)
-            return contrastive_loss(b, ref, pairs, CFG).value
+            return contrastive_loss(b, ref, CFG).value
 
         ref = EmbeddingBatch(
             vectors=np.concatenate([bank_rows.vectors, batch.vectors]),
             labels=np.concatenate([bank_rows.labels, batch.labels]),
         )
-        pairs = mine_pairs(batch, ref, CFG, self_offset=6)
-        out = contrastive_loss(batch, ref, pairs, CFG)
+        out = contrastive_loss(batch, ref, CFG)
         fd = batch_grad_fd(loss_at, batch.vectors)
         np.testing.assert_allclose(out.grad, fd, rtol=1e-4, atol=1e-8)
 
@@ -182,10 +173,10 @@ def concat(*batches):
     )
 
 
-def index_list_loss(batch, reference, offset, cfg=CFG):
+def index_list_loss(batch, reference, cfg=CFG):
     return index_list_contrastive(
         batch.vectors, batch.labels, reference.vectors, reference.labels,
-        cfg.pos_margin, cfg.neg_margin, offset,
+        cfg.pos_margin, cfg.neg_margin, reference.n - batch.n,
     )
 
 
@@ -208,26 +199,27 @@ class TestMaskLossMatchesIndexLists:
         out = xbm_loss(batch, bank, CFG, variant)
         parts = []
         if variant in ("no-xbm", "xbm-star"):
-            parts.append(index_list_loss(batch, batch, 0))
+            parts.append(index_list_loss(batch, batch))
         if variant in ("xbm", "xbm-star"):
-            parts.append(index_list_loss(batch, concat(bank.as_batch(), batch), len(bank)))
+            parts.append(index_list_loss(batch, concat(bank.as_batch(), batch)))
         value, grad = parts[0]
         if len(parts) == 2:
             value, grad = value + parts[1][0], grad + parts[1][1]
         assert_bit_equal(out, value, grad)
 
-    @pytest.mark.parametrize("where", ["first", "after_bank", "past_reference"])
+    @pytest.mark.parametrize("where", ["alone", "after_bank", "after_its_copy"])
     @pytest.mark.parametrize("seed", range(4))
-    def test_self_offsets(self, where, seed):
+    def test_batch_after_other_rows(self, where, seed):
         batch = unit_batch(6, 4, seed=seed)
         extra = unit_batch(9, 4, seed=seed + 40)
-        reference, offset = {
-            "first": (concat(batch, extra), 0),
-            "after_bank": (concat(extra, batch), extra.n),
-            "past_reference": (extra, extra.n),  # batch rows are not in the reference
+        reference = {
+            "alone": batch,
+            "after_bank": concat(extra, batch),
+            # value copies of the batch rows ahead of it are ordinary candidates
+            "after_its_copy": concat(batch, extra, batch),
         }[where]
-        out = contrastive_loss(batch, reference, mine_pairs(batch, reference, CFG, offset), CFG)
-        assert_bit_equal(out, *index_list_loss(batch, reference, offset))
+        out = contrastive_loss(batch, reference, CFG)
+        assert_bit_equal(out, *index_list_loss(batch, reference))
 
     def test_distances_exactly_on_the_margins(self):
         # dyadic margins and coordinates make 1 - <a, b> exact, so two pairs
@@ -241,32 +233,32 @@ class TestMaskLossMatchesIndexLists:
             [0.5, 0.0, np.sqrt(0.75)],  # other class, d = 0.5: negative
         ])
         batch = EmbeddingBatch(vectors=vectors, labels=np.array([0, 0, 1, 0, 1]))
-        pairs = mine_pairs(batch, batch, cfg, self_offset=0)
+        pairs = mine_pairs(batch, batch, cfg)
         assert pairs.distances[0, 1] == cfg.pos_margin
         assert pairs.distances[0, 2] == cfg.neg_margin
         assert not pairs.pos_mask[0, 1] and not pairs.neg_mask[0, 2]
         assert pairs.pos_mask[0, 3] and pairs.neg_mask[0, 4]
-        out = contrastive_loss(batch, batch, pairs, cfg)
-        assert_bit_equal(out, *index_list_loss(batch, batch, 0, cfg))
+        out = contrastive_loss(batch, batch, cfg)
+        assert_bit_equal(out, *index_list_loss(batch, batch, cfg))
 
     def test_empty_bank(self):
         batch = unit_batch(7, 4, seed=60)
         bank = MemoryBank(capacity=10, dim=4)
         out = xbm_loss(batch, bank, CFG, "xbm")
-        assert_bit_equal(out, *index_list_loss(batch, batch, 0))
+        assert_bit_equal(out, *index_list_loss(batch, batch))
 
     def test_negatives_only(self):
         batch = unit_batch(6, 4, seed=61, n_classes=1)
         batch = EmbeddingBatch(vectors=batch.vectors, labels=np.arange(6))  # all distinct
-        out = contrastive_loss(batch, batch, mine_pairs(batch, batch, CFG, 0), CFG)
-        value, grad = index_list_loss(batch, batch, 0)
+        out = contrastive_loss(batch, batch, CFG)
+        value, grad = index_list_loss(batch, batch)
         assert value > 0.0
         assert_bit_equal(out, value, grad)
 
     def test_positives_only(self):
         batch = unit_batch(6, 4, seed=62, n_classes=1)
-        out = contrastive_loss(batch, batch, mine_pairs(batch, batch, CFG, 0), CFG)
-        value, grad = index_list_loss(batch, batch, 0)
+        out = contrastive_loss(batch, batch, CFG)
+        value, grad = index_list_loss(batch, batch)
         assert value > 0.0
         assert_bit_equal(out, value, grad)
 
@@ -274,52 +266,54 @@ class TestMaskLossMatchesIndexLists:
 class TestMinedPairsContract:
     def test_index_views_are_row_major(self):
         batch = unit_batch(6, 4, seed=70)
-        pairs = mine_pairs(batch, batch, CFG, self_offset=0)
+        pairs = mine_pairs(batch, batch, CFG)
         for idx, mask in ((pairs.positives, pairs.pos_mask), (pairs.negatives, pairs.neg_mask)):
             assert len(idx) == mask.sum()
             assert [tuple(p) for p in idx] == sorted(map(tuple, idx))
             assert mask[idx[:, 0], idx[:, 1]].all()
 
-    @pytest.mark.parametrize("rows, offset", [
-        (slice(None), 0),  # the batch is the reference
-        (slice(None), 5),  # the batch follows five other rows
-        (slice(0, 3), 5),  # only its first three rows are in the reference
-        (slice(2, None), -2),  # its first two rows are cut off
-        (slice(None), 9),  # no batch row is in the reference
+    @pytest.mark.parametrize("front", [
+        "none",  # the batch is the reference
+        "other_rows",  # the batch follows five other rows
+        "copy",  # the batch follows a value copy of itself
     ])
-    def test_only_the_positional_self_pair_is_excluded(self, rows, offset):
+    def test_only_the_positional_self_pair_is_excluded(self, front):
         # rows of norm 1/2 sit 0.75 from themselves, so an unexcluded self-pair
         # would be mined as a positive
         rng = np.random.default_rng(74)
         vectors = 0.5 * unit_rows(6, 3, seed=74)
         labels = rng.integers(0, 2, size=6)
         batch = EmbeddingBatch(vectors=vectors, labels=labels)
-        extra = 0.5 * unit_rows(5, 3, seed=75)
-        front = extra if offset > 0 else extra[:0]
+        front_rows, front_labels = {
+            "none": (vectors[:0], labels[:0]),
+            "other_rows": (0.5 * unit_rows(5, 3, seed=75), rng.integers(0, 2, size=5)),
+            "copy": (vectors, labels),
+        }[front]
         reference = EmbeddingBatch(
-            vectors=np.concatenate([front, vectors[rows]]),
-            labels=np.concatenate([rng.integers(0, 2, size=len(front)), labels[rows]]),
+            vectors=np.concatenate([front_rows, vectors]),
+            labels=np.concatenate([front_labels, labels]),
         )
-        pairs = mine_pairs(batch, reference, CFG, self_offset=offset)
+        pairs = mine_pairs(batch, reference, CFG)
         want_pos, want_neg = brute_force_pairs(
             vectors, labels, reference.vectors, reference.labels,
-            CFG.pos_margin, CFG.neg_margin, offset,
+            CFG.pos_margin, CFG.neg_margin, len(front_rows),
         )
+        if front == "copy":
+            # each batch row pairs with its copy ahead of it, but not with itself
+            assert all((i, i) in want_pos for i in range(batch.n))
         assert [tuple(p) for p in pairs.positives] == want_pos
         assert [tuple(p) for p in pairs.negatives] == want_neg
 
-    def test_pairs_from_another_reference_rejected(self):
-        batch = unit_batch(4, 3, seed=71)
-        reference = unit_batch(7, 3, seed=72)
-        pairs = mine_pairs(batch, reference, CFG, self_offset=7)
+    @pytest.mark.parametrize("loss", [
+        lambda b, r: mine_pairs(b, r, CFG),
+        lambda b, r: contrastive_loss(b, r, CFG),
+        lambda b, r: triplet_loss(b, r, margin=0.1),
+    ], ids=["mine_pairs", "contrastive_loss", "triplet_loss"])
+    def test_reference_shorter_than_the_batch_rejected(self, loss):
+        # the batch must be the reference's tail, so the reference holds it all
+        batch = unit_batch(6, 3, seed=71)
         with pytest.raises(ShapeMismatch):
-            contrastive_loss(batch, batch, pairs, CFG)
-
-    def test_pairs_from_other_margins_rejected(self):
-        batch = unit_batch(4, 3, seed=73)
-        pairs = mine_pairs(batch, batch, CFG, self_offset=0)
-        with pytest.raises(InvalidConfig):
-            contrastive_loss(batch, batch, pairs, PairMinerConfig(pos_margin=0.1, neg_margin=0.9))
+            loss(batch, EmbeddingBatch(vectors=batch.vectors[1:], labels=batch.labels[1:]))
 
 
 class TestDistanceMatrixCalls:
@@ -342,13 +336,14 @@ class TestDistanceMatrixCalls:
 
 class TestTripletLoss:
     def test_inactive_hinge(self):
-        # anchor == positive, negative antipodal: d(a,p)=0, d(a,n)=2, margin 0.05
+        # anchor == positive, negative antipodal: d(a,p)=0, d(a,n)=2, margin 0.05;
+        # the anchor itself is the reference's last row
         a = np.array([1.0, 0.0])
         batch = EmbeddingBatch(vectors=a[None, :], labels=np.array([0]))
         reference = EmbeddingBatch(
-            vectors=np.stack([a, -a]), labels=np.array([0, 1])
+            vectors=np.stack([a, -a, a]), labels=np.array([0, 1, 0])
         )
-        out = triplet_loss(batch, reference, margin=0.05, self_offset=2)
+        out = triplet_loss(batch, reference, margin=0.05)
         assert out.value == 0.0
 
     def test_hand_value(self):
@@ -357,19 +352,19 @@ class TestTripletLoss:
         p = np.array([0.0, 1.0])  # d = 1.0
         n = np.array([0.2, np.sqrt(1 - 0.04)])  # <a,n> = 0.2 -> d = 0.8
         batch = EmbeddingBatch(vectors=a[None, :], labels=np.array([0]))
-        reference = EmbeddingBatch(vectors=np.stack([p, n]), labels=np.array([0, 1]))
-        out = triplet_loss(batch, reference, margin=0.05, self_offset=2)
+        reference = EmbeddingBatch(vectors=np.stack([p, n, a]), labels=np.array([0, 1, 0]))
+        out = triplet_loss(batch, reference, margin=0.05)
         assert out.value == pytest.approx(0.25, abs=1e-12)
 
     def test_negative_margin_rejected(self):
         batch = unit_batch(2, 3, seed=0)
         with pytest.raises(InvalidConfig):
-            triplet_loss(batch, batch, margin=-0.1, self_offset=0)
+            triplet_loss(batch, batch, margin=-0.1)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_brute_force(self, seed):
         batch = unit_batch(6, 3, seed=seed, n_classes=2)
-        out = triplet_loss(batch, batch, margin=0.1, self_offset=0)
+        out = triplet_loss(batch, batch, margin=0.1)
         want = brute_force_triplet(
             batch.vectors.tolist(), batch.labels.tolist(),
             batch.vectors.tolist(), batch.labels.tolist(),
@@ -387,13 +382,13 @@ class TestTripletLoss:
                 vectors=np.concatenate([bank_rows.vectors, vectors]),
                 labels=np.concatenate([bank_rows.labels, batch.labels]),
             )
-            return triplet_loss(b, ref, margin=0.1, self_offset=4).value
+            return triplet_loss(b, ref, margin=0.1).value
 
         ref = EmbeddingBatch(
             vectors=np.concatenate([bank_rows.vectors, batch.vectors]),
             labels=np.concatenate([bank_rows.labels, batch.labels]),
         )
-        out = triplet_loss(batch, ref, margin=0.1, self_offset=4)
+        out = triplet_loss(batch, ref, margin=0.1)
         fd = batch_grad_fd(loss_at, batch.vectors)
         np.testing.assert_allclose(out.grad, fd, rtol=1e-4, atol=1e-8)
 
@@ -455,15 +450,14 @@ def test_property_loss_nonnegative(seed, n, with_bank):
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=40, deadline=None)
 def test_property_reference_permutation_invariance(seed):
-    # with the batch outside the reference, shuffling reference rows (with
-    # labels) changes neither value nor gradient
+    # shuffling the reference rows ahead of the batch (with their labels)
+    # changes neither value nor gradient
     rng = np.random.default_rng(seed)
     batch = unit_batch(4, 3, seed=seed)
-    reference = unit_batch(7, 3, seed=seed + 9)
+    front = unit_batch(7, 3, seed=seed + 9)
     perm = rng.permutation(7)
-    shuffled = EmbeddingBatch(vectors=reference.vectors[perm], labels=reference.labels[perm])
-    off = 7  # batch rows are not inside the reference
-    base = contrastive_loss(batch, reference, mine_pairs(batch, reference, CFG, off), CFG)
-    other = contrastive_loss(batch, shuffled, mine_pairs(batch, shuffled, CFG, off), CFG)
+    shuffled = EmbeddingBatch(vectors=front.vectors[perm], labels=front.labels[perm])
+    base = contrastive_loss(batch, concat(front, batch), CFG)
+    other = contrastive_loss(batch, concat(shuffled, batch), CFG)
     assert base.value == pytest.approx(other.value, rel=1e-12, abs=1e-15)
     np.testing.assert_allclose(base.grad, other.grad, atol=1e-12)

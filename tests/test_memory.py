@@ -80,7 +80,7 @@ class TestAdapt:
     def test_moments_hit_target(self):
         bank = self._filled()
         rng = np.random.default_rng(4)
-        target = MomentStats(mean=rng.normal(size=4), std=rng.uniform(0.1, 2.0, size=4), count=12)
+        target = MomentStats(mean=rng.normal(size=4), std=rng.uniform(0.1, 2.0, size=4))
         bank.adapt(target)
         after = bank.stats()
         np.testing.assert_allclose(after.mean, target.mean, atol=1e-9)
@@ -88,8 +88,8 @@ class TestAdapt:
 
     def test_two_adapts_collapse_to_last(self):
         rng = np.random.default_rng(5)
-        t1 = MomentStats(mean=rng.normal(size=4), std=rng.uniform(0.1, 2.0, size=4), count=12)
-        t2 = MomentStats(mean=rng.normal(size=4), std=rng.uniform(0.1, 2.0, size=4), count=12)
+        t1 = MomentStats(mean=rng.normal(size=4), std=rng.uniform(0.1, 2.0, size=4))
+        t2 = MomentStats(mean=rng.normal(size=4), std=rng.uniform(0.1, 2.0, size=4))
         twice = self._filled()
         twice.adapt(t1)
         twice.adapt(t2)
@@ -101,7 +101,7 @@ class TestAdapt:
         bank = self._filled()
         labels_before = bank.labels.copy()
         order_proxy = np.argsort(bank.vectors[:, 0], kind="stable")
-        bank.adapt(MomentStats(mean=np.zeros(4), std=np.full(4, 2.0), count=12))
+        bank.adapt(MomentStats(mean=np.zeros(4), std=np.full(4, 2.0)))
         assert len(bank) == 12
         np.testing.assert_array_equal(bank.labels, labels_before)
         # per-dimension affine with positive scale preserves each column's ordering
@@ -111,12 +111,12 @@ class TestAdapt:
         bank = MemoryBank(capacity=8, dim=2)
         bank.enqueue(batch_of(rows(1, 2)))
         with pytest.raises(InsufficientSamples):
-            bank.adapt(MomentStats(mean=np.zeros(2), std=np.ones(2), count=2))
+            bank.adapt(MomentStats(mean=np.zeros(2), std=np.ones(2)))
 
     def test_matches_xbn_transform_bit_for_bit(self):
         bank = self._filled()
         rng = np.random.default_rng(6)
-        target = MomentStats(mean=rng.normal(size=4), std=rng.uniform(0.1, 2.0, size=4), count=12)
+        target = MomentStats(mean=rng.normal(size=4), std=rng.uniform(0.1, 2.0, size=4))
         before = bank.as_batch()
         want = xbn_transform(before, compute_moments(before), target)
         bank.adapt(target)
@@ -128,7 +128,7 @@ class TestAdapt:
         bank = self._filled()
         vectors, labels = bank.vectors, bank.labels
         snapshot = vectors.copy()
-        bank.adapt(MomentStats(mean=np.ones(4), std=np.full(4, 3.0), count=12))
+        bank.adapt(MomentStats(mean=np.ones(4), std=np.full(4, 3.0)))
         assert not np.shares_memory(bank.vectors, vectors)
         np.testing.assert_array_equal(vectors, snapshot)
         assert np.shares_memory(bank.labels, labels)
@@ -136,7 +136,7 @@ class TestAdapt:
     def test_target_dim_mismatch(self):
         bank = self._filled()
         with pytest.raises(DimensionMismatch):
-            bank.adapt(MomentStats(mean=np.zeros(3), std=np.ones(3), count=12))
+            bank.adapt(MomentStats(mean=np.zeros(3), std=np.ones(3)))
 
 
 class TestReferenceSet:
@@ -170,7 +170,7 @@ class TestStateRestore:
         bank.enqueue(batch_of(rows(4, 2, seed=1), np.arange(4)))
         saved = bank.state()
         vectors_before = bank.vectors.copy()
-        bank.adapt(MomentStats(mean=np.zeros(2), std=np.ones(2), count=4))
+        bank.adapt(MomentStats(mean=np.zeros(2), std=np.ones(2)))
         bank.reference_set(batch_of(rows(6, 2, seed=2), np.arange(6)))
         bank.restore(saved)
         np.testing.assert_array_equal(bank.vectors, vectors_before)
@@ -178,7 +178,7 @@ class TestStateRestore:
         assert len(bank) == 4
 
     def test_only_one_adapt_can_be_undone(self):
-        target = MomentStats(mean=np.zeros(2), std=np.ones(2), count=4)
+        target = MomentStats(mean=np.zeros(2), std=np.ones(2))
         for after in (
             lambda bank: bank.enqueue(batch_of(rows(2, 2, seed=3))),
             lambda bank: (bank.adapt(target), bank.enqueue(batch_of(rows(2, 2, seed=3)))),
@@ -242,7 +242,7 @@ def test_property_interleaved_operations_match_models(capacity, dim, ops, seed):
     sim = FifoList(capacity)
     for op, size in ops:
         batch = batch_of(rng.normal(size=(size, dim)), rng.integers(0, 5, size=size))
-        target = MomentStats(mean=rng.normal(size=dim), std=rng.uniform(0.1, 2.0, dim), count=2)
+        target = MomentStats(mean=rng.normal(size=dim), std=rng.uniform(0.1, 2.0, dim))
         if op == "enqueue":
             bank.enqueue(batch)
             sim.push_batch(batch.vectors, batch.labels)

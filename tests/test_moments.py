@@ -34,7 +34,6 @@ class TestComputeMoments:
         stats = compute_moments(batch_of([(1.0, 2.0), (3.0, 4.0)]))
         np.testing.assert_array_equal(stats.mean, [2.0, 3.0])
         np.testing.assert_array_equal(stats.std, [1.0, 1.0])
-        assert stats.count == 2
 
     def test_constant_column_floored(self):
         stats = compute_moments(batch_of(np.full((7, 3), 4.25)))
@@ -96,7 +95,7 @@ class TestXbnTransform:
     def test_hand_example_1d(self):
         # {0, 2} has mean 1, std 1; retargeting to mean 5, std 2 gives {3, 7}
         batch = batch_of([(0.0,), (2.0,)])
-        target = MomentStats(mean=np.array([5.0]), std=np.array([2.0]), count=2)
+        target = MomentStats(mean=np.array([5.0]), std=np.array([2.0]))
         out = xbn_transform(batch, compute_moments(batch), target)
         np.testing.assert_allclose(out.vectors.ravel(), [3.0, 7.0], atol=1e-12)
 
@@ -104,7 +103,7 @@ class TestXbnTransform:
         rng = np.random.default_rng(5)
         batch = random_batch(rng, 64, 8)
         target = MomentStats(
-            mean=rng.normal(size=8), std=rng.uniform(0.1, 2.0, size=8), count=64
+            mean=rng.normal(size=8), std=rng.uniform(0.1, 2.0, size=8)
         )
         out = xbn_transform(batch, compute_moments(batch), target)
         after = compute_moments(out)
@@ -115,7 +114,7 @@ class TestXbnTransform:
         rng = np.random.default_rng(7)
         batch = random_batch(rng, 10, 3)
         before = batch.vectors.copy()
-        target = MomentStats(mean=np.ones(3), std=np.ones(3), count=10)
+        target = MomentStats(mean=np.ones(3), std=np.ones(3))
         out = xbn_transform(batch, compute_moments(batch), target)
         np.testing.assert_array_equal(batch.vectors, before)
         np.testing.assert_array_equal(out.labels, batch.labels)
@@ -123,15 +122,15 @@ class TestXbnTransform:
 
     def test_dimension_mismatch(self):
         batch = batch_of([(0.0, 1.0), (1.0, 0.0)])
-        bad = MomentStats(mean=np.zeros(3), std=np.ones(3), count=2)
+        bad = MomentStats(mean=np.zeros(3), std=np.ones(3))
         with pytest.raises(DimensionMismatch):
             xbn_transform(batch, compute_moments(batch), bad)
 
     def test_scalar_affine_consistency(self):
         # In 1-d the transform is z -> Az + b with A = std'/std, b = mu' - A mu,
         # and the moments transform as mu' = A mu + b, std'^2 = A^2 std^2.
-        src = MomentStats(mean=np.array([1.5]), std=np.array([0.5]), count=9)
-        tgt = MomentStats(mean=np.array([-2.0]), std=np.array([3.0]), count=9)
+        src = MomentStats(mean=np.array([1.5]), std=np.array([0.5]))
+        tgt = MomentStats(mean=np.array([-2.0]), std=np.array([3.0]))
         a = tgt.std[0] / src.std[0]
         b = tgt.mean[0] - a * src.mean[0]
         assert a * src.mean[0] + b == pytest.approx(tgt.mean[0], abs=1e-12)
@@ -143,26 +142,26 @@ class TestXbnTransform:
 
 class TestDiagGaussianKl:
     def test_identical_stats_zero(self):
-        s = MomentStats(mean=np.array([0.3, -1.0]), std=np.array([1.0, 0.2]), count=4)
+        s = MomentStats(mean=np.array([0.3, -1.0]), std=np.array([1.0, 0.2]))
         assert diag_gaussian_kl(s, s) == pytest.approx(0.0, abs=1e-15)
 
     def test_unit_mean_shift(self):
-        p = MomentStats(mean=np.array([0.0]), std=np.array([1.0]), count=4)
-        q = MomentStats(mean=np.array([1.0]), std=np.array([1.0]), count=4)
+        p = MomentStats(mean=np.array([0.0]), std=np.array([1.0]))
+        q = MomentStats(mean=np.array([1.0]), std=np.array([1.0]))
         assert diag_gaussian_kl(p, q) == pytest.approx(0.5, abs=1e-12)
 
     def test_post_transform_kl_tiny(self):
         rng = np.random.default_rng(3)
         bank = random_batch(rng, 48, 6)
         target = MomentStats(
-            mean=rng.normal(size=6), std=rng.uniform(0.2, 1.5, size=6), count=48
+            mean=rng.normal(size=6), std=rng.uniform(0.2, 1.5, size=6)
         )
         adapted = xbn_transform(bank, compute_moments(bank), target)
         assert diag_gaussian_kl(compute_moments(adapted), target) < 1e-9
 
     def test_dimension_mismatch(self):
-        p = MomentStats(mean=np.zeros(2), std=np.ones(2), count=4)
-        q = MomentStats(mean=np.zeros(3), std=np.ones(3), count=4)
+        p = MomentStats(mean=np.zeros(2), std=np.ones(2))
+        q = MomentStats(mean=np.zeros(3), std=np.ones(3))
         with pytest.raises(DimensionMismatch):
             diag_gaussian_kl(p, q)
 
@@ -179,7 +178,7 @@ def batch_and_target(draw):
     rng = np.random.default_rng(seed)
     batch = batch_of(rng.normal(size=(n, d)) * rng.uniform(0.5, 2.0))
     target = MomentStats(
-        mean=rng.uniform(-3, 3, size=d), std=rng.uniform(0.05, 4.0, size=d), count=n
+        mean=rng.uniform(-3, 3, size=d), std=rng.uniform(0.05, 4.0, size=d)
     )
     return batch, target
 

@@ -224,8 +224,22 @@ class TestChunking:
         g = q if single else quarter_grid_batch(rng, 19, 2, 3)
         ks = (1, 2, 5, 10)
         default = recall_at_k(q, g, ks)
-        monkeypatch.setattr(retrieval, "_CHUNK_BYTES", rows * 8 * g.n)
+        # the budget holds rows x (a similarity row plus the most positives a
+        # query gathers), so every chunk but the last has exactly rows rows
+        most = max(np.count_nonzero(g.labels == label) for label in q.labels)
+        budget = rows * (8 * g.n + retrieval._GATHER_BYTES * most)
+        monkeypatch.setattr(retrieval, "_CHUNK_BYTES", budget)
+        sizes = []
+        real = retrieval._best_positives
+
+        def recording(block, *args):
+            sizes.append(len(block))
+            return real(block, *args)
+
+        monkeypatch.setattr(retrieval, "_best_positives", recording)
         chunked = recall_at_k(q, g, ks)
+        assert sizes[:-1] == [rows] * (len(sizes) - 1) and 0 < sizes[-1] <= rows
+        assert sum(sizes) == q.n
         expected = naive_recall(q.vectors, q.labels, g.vectors, g.labels, ks, exclude_self=single)
         assert chunked == default == expected
 
