@@ -15,7 +15,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import fields, replace
 from functools import reduce
 from pathlib import Path
 
@@ -190,10 +190,9 @@ def _config_text(config: TrainConfig, variant: MethodVariant, dataset) -> str:
 
 def write_metrics(result: TrainResult, path: Path) -> None:
     with open(path, "w") as f:
-        for record in result.iterations:
-            f.write(json.dumps({"type": "iteration", **asdict(record)}) + "\n")
-        for record in result.epoch_records:
-            f.write(json.dumps({"type": "epoch", **asdict(record)}) + "\n")
+        for kind, records in (("iteration", result.iterations), ("epoch", result.epoch_records)):
+            for record in records:  # vars(): the fields in order, without asdict()'s deep copy
+                f.write(json.dumps({"type": kind, **vars(record)}) + "\n")
 
 
 def read_metrics(path) -> tuple[list[dict], list[dict]]:
@@ -408,67 +407,85 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_flags() -> argparse.ArgumentParser:
-    """The flags train, sweep and drift share, for their parsers' parents=."""
-    p = argparse.ArgumentParser(add_help=False)
+def _run_parser(sub, name: str, summary: str, **defaults) -> argparse.ArgumentParser:
+    """The subparser of train, sweep or drift, with the flags they share."""
+    p = sub.add_parser(name, help=summary)
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--dataset", help="XBNF feature file")
     p.add_argument("--out", help=f"output root (default ${OUT_ENV_VAR} or ./runs)")
-    defaults = TrainConfig()
+    config = TrainConfig()
     for key, (path, _) in _SETTINGS.items():
-        default = reduce(getattr, path.split("."), defaults)
+        default = reduce(getattr, path.split("."), config)
         text = f"TrainConfig.{path}, default {'unset' if default is None else _format(default)}"
         if key == "probe_drift":
             p.add_argument("--no-drift", dest=key, action="store_const", const="false", help=text)
         else:
             p.add_argument("--" + key.replace("_", "-"), dest=key, help=text)
+    p.set_defaults(**defaults)
     return p
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="crossbatch", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    run_flags = [_run_flags()]
+def _add_train(sub) -> None:
+    p = _run_parser(sub, "train", "one training run", func=cmd_train)
+    p.add_argument("--variant", help=f"one of {', '.join(VARIANTS)}; ema is spelled ema:M")
 
-    p_train = sub.add_parser("train", parents=run_flags, help="one training run")
-    p_train.add_argument("--variant", help=f"one of {', '.join(VARIANTS)}; ema is spelled ema:M")
-    p_train.set_defaults(func=cmd_train)
 
-    p_sweep = sub.add_parser("sweep", parents=run_flags,
-                             help="grid of runs over one axis x variants x seeds")
+def _add_sweep(sub) -> None:
+    p = _run_parser(sub, "sweep", "grid of runs over one axis x variants x seeds", func=cmd_sweep)
     axes = [k.replace("_", "-") for k, (_, parse) in _SETTINGS.items()
             if parse in (int, float) and k != "seed"]
-    p_sweep.add_argument("--axis", required=True, choices=axes, help="the scalar setting to vary")
-    p_sweep.add_argument("--values", required=True, help="comma-separated axis values")
-    p_sweep.add_argument("--variants", required=True, help="comma-separated variant names")
-    p_sweep.add_argument("--seeds", required=True, help="comma-separated seeds")
-    p_sweep.add_argument("--workers", type=int, default=1,
-                         help="worker processes, at most one per run and per CPU")
-    p_sweep.set_defaults(func=cmd_sweep)
+    p.add_argument("--axis", required=True, choices=axes, help="the scalar setting to vary")
+    p.add_argument("--values", required=True, help="comma-separated axis values")
+    p.add_argument("--variants", required=True, help="comma-separated variant names")
+    p.add_argument("--seeds", required=True, help="comma-separated seeds")
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes, at most one per run and per CPU")
 
-    p_drift = sub.add_parser("drift", parents=run_flags,
-                             help="per-epoch drift curves: the sweep without an axis")
-    p_drift.add_argument("--variants", required=True, help="comma-separated variant names")
-    p_drift.set_defaults(func=cmd_sweep, axis=None, values=None, seeds=None, workers=1)
 
-    p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
-    p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--dataset", required=True)
-    p_eval.add_argument("--recall-ks", dest="recall_ks", default=_format(TrainConfig().recall_ks))
-    p_eval.set_defaults(func=cmd_eval)
+def _add_drift(sub) -> None:
+    p = _run_parser(sub, "drift", "per-epoch drift curves: the sweep without an axis",
+                    func=cmd_sweep, axis=None, values=None, seeds=None, workers=1)
+    p.add_argument("--variants", required=True, help="comma-separated variant names")
 
-    p_gen = sub.add_parser("gen-data", help="generate a synthetic clustered dataset")
-    p_gen.add_argument("--out", required=True)
+
+def _add_eval(sub) -> None:
+    p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
+    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--dataset", required=True)
+    p.add_argument("--recall-ks", dest="recall_ks", default=_format(TrainConfig().recall_ks))
+    p.set_defaults(func=cmd_eval)
+
+
+def _add_gen_data(sub) -> None:
+    p = sub.add_parser("gen-data", help="generate a synthetic clustered dataset")
+    p.add_argument("--out", required=True)
     for f in fields(SyntheticConfig):
-        p_gen.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=type(f.default),
-                           default=f.default, help=f"SyntheticConfig.{f.name}, default {f.default}")
-    p_gen.add_argument("--dtype", choices=["f4", "f8"], default="f8")
-    p_gen.set_defaults(func=cmd_gen_data)
+        p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=type(f.default),
+                       default=f.default, help=f"SyntheticConfig.{f.name}, default {f.default}")
+    p.add_argument("--dtype", choices=["f4", "f8"], default="f8")
+    p.set_defaults(func=cmd_gen_data)
+
+
+_COMMANDS = {  # each command's subparser builder, in the order the help lists them
+    "train": _add_train, "sweep": _add_sweep, "drift": _add_drift,
+    "eval": _add_eval, "gen-data": _add_gen_data,
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of the one given, whose usage still lists them all."""
+    parser = argparse.ArgumentParser(prog="crossbatch", description=__doc__)
+    # only then: a metavar would also rename the argument "command" in the full parser's errors
+    listed = "{" + ",".join(_COMMANDS) + "}" if command else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=listed)
+    for name in [command] if command else _COMMANDS:
+        _COMMANDS[name](sub)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv  # only the command that runs gets a parser
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         return args.func(args)
     except (CrossbatchError, OSError) as exc:

@@ -30,6 +30,9 @@ __all__ = [
 # for unit-scale inputs.
 EPS_NORM = 1e-12
 
+# Bytes of the widest layer output of one embed() block: 512 rows at width 64.
+_BLOCK_BYTES = 256 * 1024
+
 CHECKPOINT_MAGIC = b"XBNC"
 CHECKPOINT_VERSION = 1
 _FLAG_FLOAT64 = 1
@@ -96,11 +99,20 @@ class MLPEmbedder:
         u, s = self._run(inputs, layer_inputs)
         return u / s[:, None], {"layer_inputs": layer_inputs, "u": u, "s": s}
 
-    def embed(self, inputs: np.ndarray) -> np.ndarray:
-        """forward()'s embeddings, bit for bit, normalized in place and with no cache kept."""
-        u, s = self._run(inputs, None)
-        # At depth 0, u is the input itself, which must not be written.
-        return np.divide(u, s[:, None], out=u if self.n_layers else None)
+    def embed(self, inputs: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """forward()'s embeddings of inputs, or of inputs[rows], bit for bit, with no cache kept.
+
+        Rows run in balanced blocks under _BLOCK_BYTES, of 4 rows at least, so only
+        n == 1 gives a 1-row block, which numpy multiplies by gemv, rounding unlike gemm."""
+        inputs = np.atleast_1d(inputs)  # a scalar fails _run's shape check, not len()
+        n = len(inputs) if rows is None else len(rows)
+        out = np.empty((n, self.embed_dim))
+        blocks = max(1, -(-n // max(4, _BLOCK_BYTES // (8 * max(self.layer_dims)))))
+        for i in range(blocks):  # n == 0 runs one empty block, which checks the shape
+            lo, hi = n * i // blocks, n * (i + 1) // blocks
+            u, s = self._run(inputs[lo:hi] if rows is None else inputs[rows[lo:hi]], None)
+            np.divide(u, s[:, None], out=out[lo:hi])
+        return out
 
     def _run(self, inputs: np.ndarray, layer_inputs: list | None) -> tuple[np.ndarray, np.ndarray]:
         """The layer loop of forward() and embed(): the last layer's output u and

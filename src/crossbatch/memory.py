@@ -45,7 +45,6 @@ class MemoryBank:
         # batch after the stored rows.
         self._vectors = np.empty((self.capacity, self.dim))
         self._spare = np.empty((self.capacity, self.dim))
-        self._squares = np.empty((self.capacity, self.dim))
         self._labels = np.empty(self.capacity, dtype=np.int64)
         self._version = 0  # bumped by every change of the stored rows
         self._undo = None  # the version the last adapt started from, if nothing followed it
@@ -102,7 +101,7 @@ class MemoryBank:
         if target_stats.dim != self.dim:
             raise DimensionMismatch(f"target stats dim {target_stats.dim} != bank dim {self.dim}")
         out = self._spare[:n]
-        _, std = _moments_into(self._vectors[:n], out, self._squares[:n])
+        _, std = _moments_into(self._vectors[:n], out)
         np.multiply(out, target_stats.std / std, out=out)
         np.add(out, target_stats.mean, out=out)
         if not np.isfinite(out).all():

@@ -95,25 +95,31 @@ def compute_moments(batch: EmbeddingBatch) -> MomentStats:
     if batch.n < 2:
         raise InsufficientSamples(f"moment computation needs >= 2 rows, got {batch.n}")
     centered = np.empty_like(batch.vectors)
-    mean, std = _moments_into(batch.vectors, centered, centered)
+    mean, std = _moments_into(batch.vectors, centered)
     return MomentStats(mean=mean, std=std)
 
 
-def _moments_into(rows: np.ndarray, centered: np.ndarray, squares: np.ndarray):
+def _moments_into(rows: np.ndarray, centered: np.ndarray):
     """Mean and floored population std of rows, leaving rows - mean in centered.
 
-    The ufuncs run in numpy's own order for mean and std (sum, divide;
+    The arithmetic follows numpy's own order for mean and std (sum, divide;
     subtract, square, sum, divide, sqrt), so the results equal
-    rows.mean(axis=0) and rows.std(axis=0) bit for bit. squares is working
-    storage of rows' shape; it may be centered itself when the caller does
-    not need the differences.
+    rows.mean(axis=0) and rows.std(axis=0) bit for bit.
     """
     n = rows.shape[0]
-    mean = np.add.reduce(rows, axis=0) / n
+    mean = _column_sums(rows) / n
     np.subtract(rows, mean, out=centered)
-    np.multiply(centered, centered, out=squares)
-    std = np.maximum(EPS_STD, np.sqrt(np.add.reduce(squares, axis=0) / n))
+    std = np.maximum(EPS_STD, np.sqrt(_column_sums(centered, squares=True) / n))
     return mean, std
+
+
+def _column_sums(a: np.ndarray, squares: bool = False) -> np.ndarray:
+    """Column sums of a, or of a * a, bit-equal to np.add.reduce's. einsum adds a
+    C-contiguous matrix's rows in order as reduce does, with no product array; numpy
+    sums one contiguous column pairwise, so other layouts, d == 1 included, use reduce."""
+    if a.shape[1] > 1 and a.flags.c_contiguous:
+        return np.einsum("ij,ij->j", a, a) if squares else np.einsum("ij->j", a)
+    return np.add.reduce(a * a if squares else a, axis=0)
 
 
 def xbn_transform(

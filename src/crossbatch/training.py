@@ -428,7 +428,7 @@ def evaluate(embedder: MLPEmbedder, dataset: FeatureDataset, k_values) -> dict[i
     """
     def embedded(tag: int) -> EmbeddingBatch:
         rows = dataset.rows(tag)
-        return EmbeddingBatch(embedder.embed(dataset.features[rows]), dataset.labels[rows])
+        return EmbeddingBatch(embedder.embed(dataset.features, rows), dataset.labels[rows])
 
     if TAG_VAL_QUERY not in dataset.splits:
         raise InvalidConfig("dataset has no validation query rows")

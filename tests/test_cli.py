@@ -203,6 +203,61 @@ class TestSettingsTable:
         assert not (tmp_path / "out" / "xbn" / "0" / "config.txt").exists()
 
 
+def parse_outcome(parse, argv, capsys):
+    """(exit code, stdout, stderr) of a parse that exits, as --help and usage errors do."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+class TestOneCommandParser:
+    """main builds the parser of the command it runs; its text is the full parser's."""
+
+    # per command: its help, an unknown flag (reported with the top-level
+    # usage) and an error of the command's own parser
+    CASES = {
+        "train": (["--help"], ["--bogus"], ["--seed"]),
+        "sweep": (["-h"], ["--values", "1", "--bogus"], ["--variants", "xbn"]),
+        "drift": (["--help"], ["--variants", "xbn", "--bogus"], []),
+        "eval": (["--help"], ["--checkpoint", "c", "--dataset", "d", "--bogus"], []),
+        "gen-data": (["-h"], ["--out", "d", "--bogus"], ["--out", "d", "--dtype", "f2"]),
+    }
+
+    @pytest.mark.parametrize("command", list(CASES))
+    def test_same_text_as_the_full_parser(self, command, capsys):
+        assert list(self.CASES) == list(cli._COMMANDS)
+        for tail, code in zip(self.CASES[command], (0, 2, 2)):
+            argv = [command, *tail]
+            full = parse_outcome(build_parser().parse_args, argv, capsys)
+            one = parse_outcome(build_parser(command).parse_args, argv, capsys)
+            assert one == full and full[0] == code, argv
+            assert full[1 if code == 0 else 2], argv
+
+    @pytest.mark.parametrize("argv,code", [([], 2), (["bogus"], 2), (["-h"], 0), (["--help"], 0)])
+    def test_no_known_command_prints_the_full_parsers_text(self, argv, code, capsys):
+        expected = parse_outcome(build_parser().parse_args, argv, capsys)
+        assert parse_outcome(main, argv, capsys) == expected
+        assert expected[0] == code
+        if code:
+            assert "{train,sweep,drift,eval,gen-data}" in expected[2]
+        else:
+            assert "{train,sweep,drift,eval,gen-data}" in expected[1]
+
+    def test_main_builds_only_the_command_it_runs(self, tmp_path, monkeypatch):
+        built = []
+
+        def spy(command=None):
+            built.append(command)
+            return build_parser(command)
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        assert main(["gen-data", "--out", str(tmp_path / "d.xbnf"), *GEN_FLAGS]) == 0
+        assert built == ["gen-data"]
+        sub = next(a for a in build_parser("eval")._actions if a.dest == "command")
+        assert list(sub.choices) == ["eval"]
+
+
 class TestParseHelpers:
     def test_parse_int_tuple(self):
         assert _parse_int_tuple("64,32") == (64, 32)

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import crossbatch.embedder as embedder_module
 from crossbatch import (
     EmbeddingBatch,
     FormatError,
@@ -132,6 +133,105 @@ class TestEmbed:
         kept = queries.copy()
         net.embed(rng.normal(size=(7, 3)))
         assert queries.tobytes() == kept.tobytes()
+
+
+A6_DIMS = (32, 64, 32, 16)  # the trainer's default net on 32-d inputs
+A6_BLOCK = embedder_module._BLOCK_BYTES // (8 * 64)  # rows per block at width 64
+
+
+def block_sizes(monkeypatch, net, *args):
+    """The row count of every block embed(*args) runs, and its result."""
+    sizes, run = [], MLPEmbedder._run
+
+    def spy(self, x, layer_inputs):
+        sizes.append(len(x))
+        return run(self, x, layer_inputs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(MLPEmbedder, "_run", spy)
+        z = net.embed(*args)
+    return sizes, z
+
+
+class TestBlockedEmbed:
+    """embed() runs its rows in blocks; each result equals the one-shot forward()'s."""
+
+    @pytest.mark.parametrize(
+        "n", [0, 1, 2, A6_BLOCK - 1, A6_BLOCK, A6_BLOCK + 1, 2 * A6_BLOCK + 1, 4000]
+    )
+    def test_equals_the_one_shot_layer_loop(self, n):
+        net = MLPEmbedder(A6_DIMS, seed=n)
+        rng = np.random.default_rng(n)
+        features = rng.normal(size=(n + 7, 32))
+        rows = rng.permutation(n + 7)[:n]
+        z, _ = net.forward(features[rows])
+        assert net.embed(features, rows).tobytes() == z.tobytes()
+        assert net.embed(features[rows]).tobytes() == z.tobytes()
+
+    def test_blocks_are_balanced_and_never_one_row(self, monkeypatch):
+        net = MLPEmbedder(A6_DIMS, seed=1)
+        x = np.random.default_rng(1).normal(size=(2 * A6_BLOCK + 40, 32))
+        for n in [1, 2, 3, A6_BLOCK, A6_BLOCK + 1, A6_BLOCK + 2, 2 * A6_BLOCK + 1, len(x)]:
+            sizes, _ = block_sizes(monkeypatch, net, x[:n])
+            assert sum(sizes) == n and max(sizes) <= A6_BLOCK
+            assert max(sizes) - min(sizes) <= 1
+            assert min(sizes) >= 2 or n == 1
+        # a budget below 4 rows still runs blocks of 2 rows at least
+        monkeypatch.setattr(embedder_module, "_BLOCK_BYTES", 8)
+        for n in range(2, 40):
+            sizes, z = block_sizes(monkeypatch, net, x[:n])
+            assert sum(sizes) == n and min(sizes) >= 2 and max(sizes) <= 4
+            assert z.tobytes() == net.forward(x[:n])[0].tobytes()
+
+    def test_shape_checked_with_no_rows(self):
+        net = MLPEmbedder(A6_DIMS, seed=6)
+        assert net.embed(np.zeros((0, 32))).shape == (0, 16)
+        with pytest.raises(ShapeMismatch):
+            net.embed(np.zeros((0, 31)))
+        with pytest.raises(ShapeMismatch):
+            net.embed(np.zeros((5, 31)), np.array([], dtype=np.int64))
+
+    def test_float32_inputs(self):
+        net = MLPEmbedder(A6_DIMS, seed=2)
+        features = np.random.default_rng(2).normal(size=(1500, 32)).astype(np.float32)
+        rows = np.arange(0, 1500, 2)
+        z, _ = net.forward(features[rows].astype(np.float64))
+        assert net.embed(features, rows).tobytes() == z.tobytes()
+        assert net.embed(features).tobytes() == net.forward(features)[0].tobytes()
+
+    def test_nonfinite_input_in_a_later_block(self, monkeypatch):
+        net = MLPEmbedder(A6_DIMS, seed=3)
+        x = np.random.default_rng(3).normal(size=(3 * A6_BLOCK, 32))
+        x[-1, 5] = np.nan  # in the third of three blocks
+        assert len(block_sizes(monkeypatch, net, x[:-1])[0]) == 3
+        with pytest.raises(NonFiniteInput):
+            net.embed(x)
+        with pytest.raises(NonFiniteInput):
+            net.embed(x, np.arange(len(x)))
+
+    def test_zero_depth_never_writes_its_input(self, monkeypatch):
+        monkeypatch.setattr(embedder_module, "_BLOCK_BYTES", 8 * 3 * 5)  # blocks of 5 rows
+        net = MLPEmbedder((3,))
+        x = np.random.default_rng(4).normal(size=(23, 3))
+        before = x.tobytes()
+        for z in (net.embed(x), net.embed(x, np.arange(23)[::-1])):
+            assert not np.shares_memory(z, x)
+        assert x.tobytes() == before
+        assert net.embed(x).tobytes() == net.forward(x)[0].tobytes()
+
+    def test_peak_memory_of_4000_rows(self):
+        # The 4000 x 16 result (500 KiB) plus one block's gathered inputs and
+        # layer outputs, not 4000-row layer outputs (2 MiB at width 64 alone).
+        net = MLPEmbedder(A6_DIMS, seed=5)
+        features = np.random.default_rng(5).normal(size=(8000, 32))
+        rows = np.arange(1, 8000, 2)
+        tracemalloc.start()
+        try:
+            net.embed(features, rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4000 * 16 * 8 + 3 * embedder_module._BLOCK_BYTES
 
 
 class TestBackward:

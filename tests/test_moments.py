@@ -51,6 +51,22 @@ class TestComputeMoments:
         with pytest.raises(InsufficientSamples):
             compute_moments(batch_of([(1.0, 2.0)]))
 
+    @pytest.mark.parametrize("layout", ["fortran", "strided", "one_column"])
+    def test_every_layout_equals_numpy_bitwise(self, layout):
+        # numpy sums a contiguous column pairwise, not row by row; these
+        # layouts must still give mean() and std() to the last bit
+        rng = np.random.default_rng(12)
+        for n in (5, 37, 300, 1001):
+            base = rng.normal(size=(n, 16)) * rng.uniform(1e-3, 5.0, 16) + 2.0
+            vectors = {
+                "fortran": np.asfortranarray(base),
+                "strided": base[:, ::2],
+                "one_column": base[:, :1].copy(),
+            }[layout]
+            stats = compute_moments(batch_of(vectors))  # keeps the layout
+            assert stats.mean.tobytes() == vectors.mean(axis=0).tobytes()
+            assert stats.std.tobytes() == np.maximum(EPS_STD, vectors.std(axis=0)).tobytes()
+
 
 @given(
     n=st.integers(min_value=2, max_value=1100),
