@@ -1,0 +1,78 @@
+"""Byte identity of run outputs, checked against committed digests.
+
+One dataset (`gen-data --seed 801 --cluster-std 1.02`), six train runs, a
+sweep and a drift grid, all run in process through cli.main. The first 16 hex
+digits of each output's SHA-256 must equal DIGESTS. config.txt is left out: it
+holds the dataset's absolute path.
+
+A change that moves rounding on purpose updates DIGESTS in the same commit;
+the failure message prints the observed table in the format below. The
+digests belong to one numpy/BLAS stack (STACK); on another the test skips and
+says which stack it found.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from crossbatch import MethodVariant
+from crossbatch.cli import main
+
+# numpy version, BLAS name and BLAS version the digests were taken on
+STACK = ("2.4.6", "scipy-openblas", "0.3.31.188.0")
+
+TRAIN = ["--seed", "3", "--warmup-epochs", "1", "--epochs", "3", "--batch-size", "16",
+         "--lr", "2e-3"]
+GRIDS = {
+    "sweep": ["sweep", "--axis", "batch-size", "--values", "8,16", "--variants", "xbm,axbn",
+              "--seeds", "0,1", "--warmup-epochs", "1", "--epochs", "1", "--lr", "2e-3"],
+    "drift": ["drift", "--variants", "no-xbm,ema:0.5", "--seed", "5", "--warmup-epochs", "1",
+              "--epochs", "1", "--lr", "2e-3"],
+}
+RUN_FILES = ("checkpoint.xbnc", "metrics.jsonl", "summary.csv")
+GRID_FILES = ("sweep_runs.csv", "sweep_summary.csv", "drift.csv")
+
+DIGESTS = {
+    # train --variant V: checkpoint.xbnc / metrics.jsonl / summary.csv
+    "no-xbm": ("938482a7cd2772e1", "4c921897e6cf97ba", "3a82673040269cff"),
+    "xbm": ("e52c798e103e0f03", "eab91d01d480cb0e", "84ccab48c03fe7ef"),
+    "xbm-star": ("74edbed54a992480", "b4db68cbe37817df", "83e4011bd00ce525"),
+    "xbn": ("e42338f27bcf94d6", "0e33e49edddc6438", "1a98648f2eab9f1f"),
+    "axbn": ("5719796d82eddd75", "d37dfabf52c4ed55", "11ed6b253b54ef8d"),
+    "ema:0.5": ("7ac868c5a7897546", "36e459f293773e19", "763b107b64bd7c76"),
+    # grids: sweep_runs.csv / sweep_summary.csv / drift.csv
+    "sweep": ("38313beab30a8e85", "1fe7e27081ce5d23", "074eb873c9b0e83e"),
+    "drift": ("fccf6b24ce175711", "b4849f8d5ef84acd", "d3aab80e75e9b419"),
+}
+
+
+def _stack() -> tuple[str, str, str]:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return (np.__version__, blas.get("name", "unknown"), blas.get("version", "unknown"))
+
+
+def _digests(root, files) -> tuple[str, ...]:
+    return tuple(hashlib.sha256((root / name).read_bytes()).hexdigest()[:16] for name in files)
+
+
+def _table(digests: dict) -> str:
+    return "\n".join(f"    {name!r}: {value!r}," for name, value in digests.items())
+
+
+def test_outputs_match_committed_digests(tmp_path):
+    if _stack() != STACK:
+        pytest.skip(f"digests were taken on numpy {STACK[0]} with {STACK[1]} {STACK[2]}; "
+                    f"this is numpy {_stack()[0]} with {_stack()[1]} {_stack()[2]}")
+    data = str(tmp_path / "data.xbnf")
+    assert main(["gen-data", "--out", data, "--seed", "801", "--cluster-std", "1.02"]) == 0
+    observed = {}
+    for spec in [name for name in DIGESTS if name not in GRIDS]:
+        out = tmp_path / "train"
+        assert main(["train", "--dataset", data, "--out", str(out), "--variant", spec, *TRAIN]) == 0
+        observed[spec] = _digests(out / str(MethodVariant.parse(spec)) / "3", RUN_FILES)
+    for name, argv in GRIDS.items():
+        out = tmp_path / name
+        assert main([*argv, "--dataset", data, "--out", str(out)]) == 0
+        observed[name] = _digests(out, GRID_FILES)
+    assert observed == DIGESTS, f"outputs moved; observed digests:\n{_table(observed)}"
