@@ -16,7 +16,7 @@ import os
 import re
 import sys
 from dataclasses import fields, replace
-from functools import reduce
+from functools import cache, reduce
 from pathlib import Path
 
 import numpy as np
@@ -216,11 +216,8 @@ def _write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
         writer.writerows(rows)
 
 
-def _summary_row(result: TrainResult, seed: int) -> dict:
-    row = {"variant": str(result.variant), "seed": seed, "best_epoch": result.best_epoch}
-    for k in result.config.recall_ks:
-        row[f"r_at_{k}"] = result.best_recall.get(k, "")
-    return row
+def _recall_columns(result: TrainResult, config: TrainConfig) -> dict:
+    return {f"r_at_{k}": result.best_recall.get(k, "") for k in config.recall_ks}
 
 
 def _run_one(config: TrainConfig, variant: MethodVariant, dataset_path,
@@ -235,7 +232,8 @@ def _run_one(config: TrainConfig, variant: MethodVariant, dataset_path,
     _write_csv(
         out_dir / "summary.csv",
         ["variant", "seed", "best_epoch"] + [f"r_at_{k}" for k in config.recall_ks],
-        [_summary_row(result, config.seed)],
+        [{"variant": str(variant), "seed": config.seed, "best_epoch": result.best_epoch,
+          **_recall_columns(result, config)}],
     )
     save_checkpoint(result.embedder, out_dir / "checkpoint.xbnc")
     return result
@@ -256,7 +254,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     out_dir = _run_dir(Path(args.out or default_out_root()), variant, config.seed)
     result = _run_one(config, variant, settings["dataset"], dataset, out_dir)
     best = ", ".join(f"R@{k}={v:.4f}" for k, v in sorted(result.best_recall.items()))
-    print(f"{variant} seed {result.config.seed}: best epoch {result.best_epoch}, {best}")
+    print(f"{variant} seed {config.seed}: best epoch {result.best_epoch}, {best}")
     print(f"outputs in {out_dir}")
     return 0
 
@@ -285,9 +283,7 @@ def _sweep_cell(payload: dict) -> dict:
         row["status"] = "failed"
         row["error"] = str(exc)
         return row
-    for k in result.config.recall_ks:
-        row[f"r_at_{k}"] = result.best_recall.get(k, "")
-    return row
+    return {**row, **_recall_columns(result, config)}
 
 
 def _distinct(flag: str, items: list) -> None:
@@ -344,19 +340,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     _write_csv(out_root / "sweep_runs.csv", run_fields, rows)
 
     agg_rows = []
-    for value in values:
-        for variant in variants:
-            ok = [
-                r
-                for r in rows
-                if r["axis_value"] == value and r["variant"] == variant.spec and r["status"] == "ok"
-            ]
-            agg = {"axis": args.axis, "axis_value": value, "variant": variant.spec, "n_seeds": len(ok)}
-            for k in ks:
-                vals = np.array([float(r[f"r_at_{k}"]) for r in ok], dtype=np.float64)
-                agg[f"mean_r_at_{k}"] = vals.mean() if len(vals) else ""
-                agg[f"std_r_at_{k}"] = vals.std() if len(vals) else ""
-            agg_rows.append(agg)
+    for start in range(0, len(rows), len(seeds)):  # the seeds of one (value, variant) cell
+        group = rows[start : start + len(seeds)]
+        ok = [r for r in group if r["status"] == "ok"]
+        agg = {f: group[0][f] for f in ("axis", "axis_value", "variant")}
+        agg["n_seeds"] = len(ok)
+        for k in ks:
+            vals = np.array([float(r[f"r_at_{k}"]) for r in ok], dtype=np.float64)
+            agg[f"mean_r_at_{k}"] = vals.mean() if len(vals) else ""
+            agg[f"std_r_at_{k}"] = vals.std() if len(vals) else ""
+        agg_rows.append(agg)
     agg_fields = ["axis", "axis_value", "variant", "n_seeds"] + [
         f"{stat}_r_at_{k}" for k in ks for stat in ("mean", "std")
     ]
@@ -394,11 +387,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     cfg = SyntheticConfig(**{f.name: getattr(args, f.name) for f in fields(SyntheticConfig)})
     dataset = generate_synthetic(cfg)
     if args.dtype == "f4":
-        dataset = FeatureDataset(
-            features=dataset.features.astype(np.float32),
-            labels=dataset.labels,
-            splits=dataset.splits,
-        )
+        dataset = replace(dataset, features=dataset.features.astype(np.float32))
     save_features(dataset, args.out)
     print(
         f"wrote {dataset.n} rows ({cfg.train_classes} train + {cfg.val_classes} val classes, "
@@ -407,9 +396,11 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_parser(sub, name: str, summary: str, **defaults) -> argparse.ArgumentParser:
-    """The subparser of train, sweep or drift, with the flags they share."""
-    p = sub.add_parser(name, help=summary)
+def _run_flags() -> argparse.ArgumentParser:
+    """The flags train, sweep and drift share, as a parent parser their subparsers copy."""
+    # a parent never prints help: a fixed width skips a terminal-size lookup per flag
+    p = argparse.ArgumentParser(
+        add_help=False, formatter_class=lambda prog: argparse.HelpFormatter(prog, width=80))
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--dataset", help="XBNF feature file")
     p.add_argument("--out", help=f"output root (default ${OUT_ENV_VAR} or ./runs)")
@@ -421,17 +412,24 @@ def _run_parser(sub, name: str, summary: str, **defaults) -> argparse.ArgumentPa
             p.add_argument("--no-drift", dest=key, action="store_const", const="false", help=text)
         else:
             p.add_argument("--" + key.replace("_", "-"), dest=key, help=text)
+    return p
+
+
+def _run_parser(sub, run_flags, name: str, summary: str, **defaults) -> argparse.ArgumentParser:
+    """The subparser of train, sweep or drift, with the flags run_flags() returns."""
+    p = sub.add_parser(name, help=summary, parents=[run_flags()])
     p.set_defaults(**defaults)
     return p
 
 
-def _add_train(sub) -> None:
-    p = _run_parser(sub, "train", "one training run", func=cmd_train)
+def _add_train(sub, run_flags) -> None:
+    p = _run_parser(sub, run_flags, "train", "one training run", func=cmd_train)
     p.add_argument("--variant", help=f"one of {', '.join(VARIANTS)}; ema is spelled ema:M")
 
 
-def _add_sweep(sub) -> None:
-    p = _run_parser(sub, "sweep", "grid of runs over one axis x variants x seeds", func=cmd_sweep)
+def _add_sweep(sub, run_flags) -> None:
+    p = _run_parser(sub, run_flags, "sweep", "grid of runs over one axis x variants x seeds",
+                    func=cmd_sweep)
     axes = [k.replace("_", "-") for k, (_, parse) in _SETTINGS.items()
             if parse in (int, float) and k != "seed"]
     p.add_argument("--axis", required=True, choices=axes, help="the scalar setting to vary")
@@ -442,13 +440,13 @@ def _add_sweep(sub) -> None:
                    help="worker processes, at most one per run and per CPU")
 
 
-def _add_drift(sub) -> None:
-    p = _run_parser(sub, "drift", "per-epoch drift curves: the sweep without an axis",
+def _add_drift(sub, run_flags) -> None:
+    p = _run_parser(sub, run_flags, "drift", "per-epoch drift curves: the sweep without an axis",
                     func=cmd_sweep, axis=None, values=None, seeds=None, workers=1)
     p.add_argument("--variants", required=True, help="comma-separated variant names")
 
 
-def _add_eval(sub) -> None:
+def _add_eval(sub, run_flags) -> None:
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", required=True)
@@ -456,7 +454,7 @@ def _add_eval(sub) -> None:
     p.set_defaults(func=cmd_eval)
 
 
-def _add_gen_data(sub) -> None:
+def _add_gen_data(sub, run_flags) -> None:
     p = sub.add_parser("gen-data", help="generate a synthetic clustered dataset")
     p.add_argument("--out", required=True)
     for f in fields(SyntheticConfig):
@@ -478,8 +476,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     # only then: a metavar would also rename the argument "command" in the full parser's errors
     listed = "{" + ",".join(_COMMANDS) + "}" if command else None
     sub = parser.add_subparsers(dest="command", required=True, metavar=listed)
+    run_flags = cache(_run_flags)  # built at most once, and only for a run command
     for name in [command] if command else _COMMANDS:
-        _COMMANDS[name](sub)
+        _COMMANDS[name](sub, run_flags)
     return parser
 
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, InvalidConfig, NonFiniteInput, ShapeMismatch
-from .moments import EmbeddingBatch
 
 __all__ = [
     "TAG_TRAIN",
@@ -31,7 +30,6 @@ __all__ = [
     "save_features",
     "load_features",
     "load_csv",
-    "dataset_from_embeddings",
 ]
 
 TAG_TRAIN = 0
@@ -89,12 +87,6 @@ class FeatureDataset:
 
     def rows(self, tag: int) -> np.ndarray:
         return np.where(self.splits == tag)[0]
-
-    def train_features(self) -> np.ndarray:
-        return self.features[self.rows(TAG_TRAIN)]
-
-    def train_labels(self) -> np.ndarray:
-        return self.labels[self.rows(TAG_TRAIN)]
 
 
 @dataclass(frozen=True)
@@ -229,13 +221,4 @@ def load_csv(path, split_tag: int = TAG_TRAIN) -> FeatureDataset:
         features=np.asarray(features, dtype=np.float64),
         labels=np.asarray(labels, dtype=np.int64),
         splits=np.full(len(labels), split_tag, dtype=np.uint8),
-    )
-
-
-def dataset_from_embeddings(batch: EmbeddingBatch, split_tag: int = TAG_TRAIN) -> FeatureDataset:
-    """Wrap embeddings (e.g. a memory-bank snapshot) for saving via save_features."""
-    return FeatureDataset(
-        features=batch.vectors.copy(),
-        labels=batch.labels.copy(),
-        splits=np.full(batch.n, split_tag, dtype=np.uint8),
     )

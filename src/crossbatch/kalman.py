@@ -59,26 +59,18 @@ class KalmanState:
     def dim(self) -> int:
         return self.mean_est.shape[0]
 
-    def to_stats(self) -> MomentStats:
-        """Current estimates as moment statistics usable as a transform target."""
-        return MomentStats(mean=self.mean_est.copy(), std=self.std_est.copy())
-
 
 def kalman_init(first_obs: MomentStats, config: KalmanConfig) -> KalmanState:
     """State initialized from the first observed minibatch statistics.
 
-    p starts at p0 and the stored gain is a preview of one predict/gain cycle
-    (with unscaled r); the first kalman_step recomputes both before they are
-    used, since step 0 always falls on a recomputation boundary.
+    The estimates are the observation itself, hence gain 1; p starts at p0.
     """
     config.validate()
-    p_pred = config.p0 + config.q
-    gain = p_pred / (p_pred + config.r)
     return KalmanState(
         mean_est=first_obs.mean.copy(),
         std_est=np.maximum(EPS_STD, first_obs.std),
         p=config.p0,
-        gain=gain,
+        gain=1.0,
         step=0,
     )
 

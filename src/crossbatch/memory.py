@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, InsufficientSamples, InvalidConfig, NonFiniteInput
+from .errors import (CrossbatchError, DimensionMismatch, InsufficientSamples, InvalidConfig,
+                     NonFiniteInput)
 from .moments import EmbeddingBatch, MomentStats, _moments_into, compute_moments
 
 __all__ = ["MemoryBank"]
@@ -85,15 +86,14 @@ class MemoryBank:
 
     def stats(self) -> MomentStats:
         """Moments of the current contents (needs >= 2 entries)."""
-        return compute_moments(self.as_batch())
+        return compute_moments(EmbeddingBatch(self.vectors, self.labels))
 
     def adapt(self, target_stats: MomentStats) -> None:
         """Replace contents with their moment-matching transform onto target_stats.
 
         Order and labels are preserved; the adapted values persist for later
         iterations. Callers skip this while the bank holds < 2 entries rather
-        than failing a training step. The result equals xbn_transform of the
-        contents from their compute_moments, bit for bit.
+        than failing a training step.
         """
         n = self._n
         if n < 2:
@@ -130,10 +130,6 @@ class MemoryBank:
         self._labels[n:end] = batch.labels
         return EmbeddingBatch._trusted(self._vectors[:end], self._labels[:end])
 
-    def as_batch(self) -> EmbeddingBatch:
-        """Contents viewed as a batch (shares storage; treat as read-only)."""
-        return EmbeddingBatch(vectors=self.vectors, labels=self.labels)
-
     def state(self) -> tuple:
         """Opaque contents handle for cheap save/restore by the owning trainer.
 
@@ -147,7 +143,7 @@ class MemoryBank:
         if version == self._version:
             return
         if self._undo != version:
-            raise ValueError("a bank state undoes only the one adapt() made since it was taken")
+            raise CrossbatchError("a bank state undoes only the one adapt() made since it was taken")
         self._vectors, self._spare = vectors, self._vectors
         self._version = version
         self._undo = None

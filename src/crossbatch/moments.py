@@ -1,8 +1,9 @@
-"""Per-dimension moment statistics and the moment-matching transform.
+"""Per-dimension moment statistics of embedding sets.
 
 A set of embeddings is summarized by its per-dimension mean and population
-standard deviation. Embeddings accumulated under older model parameters can
-be pulled to the statistics of a newer set with the elementwise affine map
+standard deviation. Embeddings accumulated under older model parameters are
+pulled to the statistics of a newer set (MemoryBank.adapt) by the elementwise
+affine map
 
     z_hat = (z - mean_src) / std_src * std_tgt + mean_tgt
 
@@ -23,7 +24,6 @@ __all__ = [
     "EmbeddingBatch",
     "MomentStats",
     "compute_moments",
-    "xbn_transform",
     "diag_gaussian_kl",
 ]
 
@@ -120,23 +120,6 @@ def _column_sums(a: np.ndarray, squares: bool = False) -> np.ndarray:
     if a.shape[1] > 1 and a.flags.c_contiguous:
         return np.einsum("ij,ij->j", a, a) if squares else np.einsum("ij->j", a)
     return np.add.reduce(a * a if squares else a, axis=0)
-
-
-def xbn_transform(
-    source: EmbeddingBatch, source_stats: MomentStats, target_stats: MomentStats
-) -> EmbeddingBatch:
-    """Affine per-dimension map taking source_stats onto target_stats.
-
-    Returns a new batch; the input is not modified and labels are carried over.
-    """
-    if source.dim != source_stats.dim or source_stats.dim != target_stats.dim:
-        raise DimensionMismatch(
-            f"dimensions disagree: batch {source.dim}, source stats {source_stats.dim}, "
-            f"target stats {target_stats.dim}"
-        )
-    scale = target_stats.std / source_stats.std
-    out = (source.vectors - source_stats.mean) * scale + target_stats.mean
-    return EmbeddingBatch(vectors=out, labels=source.labels.copy())
 
 
 def diag_gaussian_kl(p: MomentStats, q: MomentStats) -> float:

@@ -13,13 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import TAG_VAL_GALLERY, TAG_VAL_QUERY, FeatureDataset
+from .data import TAG_TRAIN, TAG_VAL_GALLERY, TAG_VAL_QUERY, FeatureDataset
 from .embedder import MLPEmbedder, Optimizer, OptimizerConfig
 from .errors import InvalidConfig, NonFiniteLoss
 from .kalman import KalmanConfig, ema_step, kalman_init, kalman_step
 from .losses import PairMinerConfig, xbm_loss
 from .memory import MemoryBank
-from .moments import EmbeddingBatch, compute_moments
+from .moments import EmbeddingBatch, MomentStats, compute_moments
 from .retrieval import _check_k_values, recall_at_k
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "sample_pk_batches",
     "TrainingRun",
     "evaluate",
-    "run_training",
 ]
 
 # One row per variant: the reference set xbm_loss ranks the batch against,
@@ -128,13 +127,7 @@ class TrainConfig:
     def validate(self) -> None:
         if self.batch_size < 2:
             raise InvalidConfig(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.samples_per_class < 1:
-            raise InvalidConfig(f"samples_per_class must be >= 1, got {self.samples_per_class}")
-        if self.batch_size % self.samples_per_class:
-            raise InvalidConfig(
-                f"batch_size {self.batch_size} not divisible by "
-                f"samples_per_class {self.samples_per_class}"
-            )
+        _classes_per_batch(self.batch_size, self.samples_per_class)
         if self.epochs < 0 or self.warmup_epochs < 0:
             raise InvalidConfig("epoch counts must be >= 0")
         if self.memory_capacity is None and self.memory_fraction is None:
@@ -184,8 +177,6 @@ class EpochRecord:
 
 @dataclass
 class TrainResult:
-    variant: MethodVariant
-    config: TrainConfig
     embedder: MLPEmbedder  # parameters of the best validation-R@1 epoch
     final_embedder: MLPEmbedder
     best_epoch: int
@@ -202,7 +193,7 @@ def _rng(seed: int, *tags: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, tags)]))
 
 
-def _classes_per_batch(n_classes: int, batch_size: int, samples_per_class: int) -> int:
+def _classes_per_batch(batch_size: int, samples_per_class: int, n_classes: float = math.inf) -> int:
     """P = batch_size / samples_per_class classes per P-K batch, checked against n_classes."""
     if batch_size < 1 or samples_per_class < 1:
         raise InvalidConfig(
@@ -226,7 +217,7 @@ def sample_pk_batches(labels, batch_size: int, samples_per_class: int, seed) -> 
     """
     labels = np.asarray(labels)
     classes = np.unique(labels)
-    p = _classes_per_batch(len(classes), batch_size, samples_per_class)
+    p = _classes_per_batch(batch_size, samples_per_class, len(classes))
     pools = {c: np.where(labels == c)[0] for c in classes}
     rng = np.random.default_rng(seed)
     n_batches = math.ceil(len(labels) / batch_size)
@@ -253,13 +244,14 @@ class TrainingRun:
         self.config = config
         self.variant = variant
         self.dataset = dataset
-        self.train_features = dataset.train_features()
-        self.train_labels = dataset.train_labels()
+        train_rows = dataset.rows(TAG_TRAIN)
+        self.train_features = dataset.features[train_rows]
+        self.train_labels = dataset.labels[train_rows]
         if len(self.train_labels) == 0:
             raise InvalidConfig("dataset has no train rows")
         # what the first epoch and the first validation would reject, rejected now
         _classes_per_batch(
-            len(np.unique(self.train_labels)), config.batch_size, config.samples_per_class
+            config.batch_size, config.samples_per_class, len(np.unique(self.train_labels))
         )
         self._validates = TAG_VAL_QUERY in dataset.splits
         if self._validates:
@@ -324,7 +316,8 @@ class TrainingRun:
                     self.kalman_state = ema_step(self.kalman_state, obs, self.variant.momentum)
                 gain_val = self.kalman_state.gain
                 if len(self.bank) >= 2:
-                    self.bank.adapt(self.kalman_state.to_stats())
+                    self.bank.adapt(
+                        MomentStats(self.kalman_state.mean_est, self.kalman_state.std_est))
             out = xbm_loss(batch, self.bank, config.miner, reference)
             if not np.isfinite(out.value):
                 raise NonFiniteLoss("non-finite loss", self.global_step)
@@ -384,17 +377,13 @@ class TrainingRun:
         self.epoch_records.append(record)
         self.epoch += 1
         if self.stage == "warmup" and self.epoch >= self.config.warmup_epochs:
-            self._enter_main_stage()
+            self.stage = "main"
+            self.optimizer = Optimizer(self.config.main_optimizer, self.embedder)
         return record
-
-    def _enter_main_stage(self) -> None:
-        self.stage = "main"
-        self.optimizer = Optimizer(self.config.main_optimizer, self.embedder)
 
     def run(self) -> TrainResult:
         """Warmup epochs, then main epochs; returns the best-R@1 parameters."""
         best_recall: dict[int, float] = {}
-        best_embedder = self.embedder.clone()
         best_epoch = -1
         total = self.config.warmup_epochs + self.config.epochs
         for _ in range(total):
@@ -409,8 +398,6 @@ class TrainingRun:
             best_embedder = self.embedder.clone()
             best_recall = self.evaluate() if self._validates else {}
         return TrainResult(
-            variant=self.variant,
-            config=self.config,
             embedder=best_embedder,
             final_embedder=self.embedder,
             best_epoch=best_epoch,
@@ -435,10 +422,3 @@ def evaluate(embedder: MLPEmbedder, dataset: FeatureDataset, k_values) -> dict[i
     queries = embedded(TAG_VAL_QUERY)
     gallery = queries if dataset.single_set else embedded(TAG_VAL_GALLERY)
     return recall_at_k(queries, gallery, k_values)
-
-
-def run_training(
-    config: TrainConfig, dataset: FeatureDataset, variant: MethodVariant
-) -> TrainResult:
-    """Execute the full protocol for one variant; see TrainingRun."""
-    return TrainingRun(config, dataset, variant).run()

@@ -28,6 +28,16 @@ def two_pass_moments(rows) -> tuple[list[float], list[float]]:
     return means, stds
 
 
+def xbn_transform(vectors, source_stats, target_stats) -> np.ndarray:
+    """The moment-matching map taking source_stats onto target_stats, on fresh arrays.
+
+    z_hat = (z - mean_src) * (std_tgt / std_src) + mean_tgt, in the order
+    MemoryBank.adapt computes it, so the two agree bit for bit.
+    """
+    scale = target_stats.std / source_stats.std
+    return (np.asarray(vectors, dtype=np.float64) - source_stats.mean) * scale + target_stats.mean
+
+
 def kalman_trace(n_steps: int, q, r_eff, p0) -> list[dict]:
     """The five-equation scalar recursion carried out in exact arithmetic.
 

@@ -45,7 +45,6 @@ from crossbatch import (
     load_features,
     mine_pairs,
     recall_at_k,
-    run_training,
     save_checkpoint,
     save_features,
     steady_state_gain,
@@ -451,7 +450,7 @@ def _desk_run(dataset, cell):
         main_optimizer=OptimizerConfig(kind="adamw", learning_rate=DESK_LR),
     )
     t0 = time.perf_counter()
-    result = run_training(cfg, dataset, MethodVariant(kind))
+    result = TrainingRun(cfg, dataset, MethodVariant(kind)).run()
     elapsed = time.perf_counter() - t0
     return SimpleNamespace(best_r1=result.best_r1, epoch_records=result.epoch_records), elapsed
 
@@ -586,7 +585,7 @@ def test_a9_round_trips(tmp_path, capsys):
         batch_size=8, samples_per_class=2, epochs=3, warmup_epochs=1,
         hidden_dims=(16,), embed_dim=8, recall_ks=(1, 5), seed=2,
     )
-    result = run_training(cfg, data, MethodVariant("xbn"))
+    result = TrainingRun(cfg, data, MethodVariant("xbn")).run()
     ckpt = tmp_path / "best.ckpt"
     save_checkpoint(result.embedder, ckpt)
     restored = TrainingRun(cfg, data, MethodVariant("xbn")).evaluate(load_checkpoint(ckpt))

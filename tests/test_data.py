@@ -13,7 +13,6 @@ from crossbatch import (
     NonFiniteInput,
     ShapeMismatch,
     SyntheticConfig,
-    dataset_from_embeddings,
     generate_synthetic,
     load_csv,
     load_features,
@@ -90,7 +89,7 @@ class TestGenerateSynthetic:
 
     def test_train_and_val_labels_disjoint(self):
         ds = generate_synthetic(SMALL)
-        train = set(ds.train_labels())
+        train = set(ds.labels[ds.rows(TAG_TRAIN)])
         val = set(ds.labels[ds.splits != TAG_TRAIN])
         assert train == set(range(5))
         assert val == {5, 6, 7}
@@ -277,24 +276,3 @@ class TestCsvImport:
         p.write_text(f"1.0,2.0,0\n3.0,{value},1\n")
         with pytest.raises(NonFiniteInput, match="NaN or infinity"):
             load_csv(p)
-
-
-class TestDatasetFromEmbeddings:
-    def test_wraps_and_round_trips(self, tmp_path):
-        rng = np.random.default_rng(0)
-        v = rng.normal(size=(7, 3))
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        b = EmbeddingBatch(vectors=v, labels=np.arange(7))
-        ds = dataset_from_embeddings(b, split_tag=TAG_TRAIN)
-        path = tmp_path / "emb.xbnf"
-        save_features(ds, path)
-        back = load_features(path)
-        np.testing.assert_array_equal(back.features, v)
-        np.testing.assert_array_equal(back.labels, np.arange(7))
-
-    def test_copies_not_views(self):
-        v = np.eye(3)
-        b = EmbeddingBatch(vectors=v, labels=np.arange(3))
-        ds = dataset_from_embeddings(b)
-        ds.features[0, 0] = 5.0
-        assert b.vectors[0, 0] == 1.0

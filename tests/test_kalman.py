@@ -44,6 +44,7 @@ class TestConfigAndInit:
         np.testing.assert_array_equal(state.mean_est, np.zeros(3))
         np.testing.assert_array_equal(state.std_est, np.ones(3))
         assert state.p == 1.0
+        assert state.gain == 1.0  # the estimates are the observation
         assert state.step == 0
 
     def test_init_is_a_copy(self):

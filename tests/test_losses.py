@@ -201,7 +201,7 @@ class TestMaskLossMatchesIndexLists:
         if variant in ("no-xbm", "xbm-star"):
             parts.append(index_list_loss(batch, batch))
         if variant in ("xbm", "xbm-star"):
-            parts.append(index_list_loss(batch, concat(bank.as_batch(), batch)))
+            parts.append(index_list_loss(batch, concat(EmbeddingBatch(bank.vectors, bank.labels), batch)))
         value, grad = parts[0]
         if len(parts) == 2:
             value, grad = value + parts[1][0], grad + parts[1][1]

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossbatch import (
+    CrossbatchError,
     DimensionMismatch,
     EmbeddingBatch,
     InsufficientSamples,
@@ -11,9 +12,8 @@ from crossbatch import (
     MemoryBank,
     MomentStats,
     compute_moments,
-    xbn_transform,
 )
-from oracles import FifoList
+from oracles import FifoList, xbn_transform
 
 
 def batch_of(rows, labels=None):
@@ -117,11 +117,18 @@ class TestAdapt:
         bank = self._filled()
         rng = np.random.default_rng(6)
         target = MomentStats(mean=rng.normal(size=4), std=rng.uniform(0.1, 2.0, size=4))
-        before = bank.as_batch()
-        want = xbn_transform(before, compute_moments(before), target)
+        before = batch_of(bank.vectors.copy(), bank.labels.copy())
+        want = xbn_transform(before.vectors, compute_moments(before), target)
         bank.adapt(target)
-        np.testing.assert_array_equal(bank.vectors, want.vectors)
-        np.testing.assert_array_equal(bank.labels, want.labels)
+        np.testing.assert_array_equal(bank.vectors, want)
+        np.testing.assert_array_equal(bank.labels, before.labels)
+
+    def test_hand_example_1d(self):
+        # {0, 2} has mean 1, std 1; retargeting to mean 5, std 2 gives {3, 7}
+        bank = MemoryBank(capacity=2, dim=1)
+        bank.enqueue(batch_of([(0.0,), (2.0,)]))
+        bank.adapt(MomentStats(mean=np.array([5.0]), std=np.array([2.0])))
+        np.testing.assert_allclose(bank.vectors.ravel(), [3.0, 7.0], atol=1e-12)
 
     def test_rebinds_instead_of_writing_in_place(self):
         # adapt writes into the bank's other buffer: rows viewed before it stay intact
@@ -188,7 +195,7 @@ class TestStateRestore:
             bank.enqueue(batch_of(rows(4, 2, seed=1), np.arange(4)))
             saved = bank.state()
             after(bank)
-            with pytest.raises(ValueError, match="one adapt"):
+            with pytest.raises(CrossbatchError, match="one adapt"):
                 bank.restore(saved)
 
 
@@ -220,6 +227,37 @@ def test_property_matches_list_fifo(case):
         np.testing.assert_array_equal(bank.labels, sim.labels())
 
 
+@st.composite
+def bank_and_target(draw):
+    n = draw(st.integers(min_value=2, max_value=40))
+    d = draw(st.integers(min_value=1, max_value=8))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
+    bank = MemoryBank(capacity=n, dim=d)
+    bank.enqueue(batch_of(rng.normal(size=(n, d)) * rng.uniform(0.5, 2.0)))
+    target = MomentStats(mean=rng.uniform(-3, 3, size=d), std=rng.uniform(0.05, 4.0, size=d))
+    return bank, target
+
+
+@given(bank_and_target())
+@settings(max_examples=60, deadline=None)
+def test_property_adapt_hits_target_moments(case):
+    bank, target = case
+    bank.adapt(target)
+    after = bank.stats()
+    np.testing.assert_allclose(after.mean, target.mean, atol=1e-9)
+    np.testing.assert_allclose(after.std, target.std, atol=1e-9)
+
+
+@given(bank_and_target())
+@settings(max_examples=40, deadline=None)
+def test_property_adapt_idempotent(case):
+    bank, target = case
+    bank.adapt(target)
+    once = bank.vectors.copy()
+    bank.adapt(target)
+    np.testing.assert_allclose(bank.vectors, once, atol=1e-9)
+
+
 def _model_batch(sim: FifoList, dim: int) -> EmbeddingBatch:
     return EmbeddingBatch(np.array(sim.vectors(), dtype=np.float64).reshape(-1, dim), sim.labels())
 
@@ -249,8 +287,8 @@ def test_property_interleaved_operations_match_models(capacity, dim, ops, seed):
         elif op == "adapt" and len(bank) >= 2:
             bank.adapt(target)
             stored = _model_batch(sim, dim)
-            adapted = xbn_transform(stored, compute_moments(stored), target)
-            sim.items = list(zip(map(tuple, adapted.vectors.tolist()), sim.labels()))
+            adapted = xbn_transform(stored.vectors, compute_moments(stored), target)
+            sim.items = list(zip(map(tuple, adapted.tolist()), sim.labels()))
         elif op == "reference_set":
             ref = bank.reference_set(batch)
             want = _model_batch(sim, dim)

@@ -8,12 +8,12 @@ from crossbatch import (
     DimensionMismatch,
     EmbeddingBatch,
     InsufficientSamples,
+    MemoryBank,
     MomentStats,
     NonFiniteInput,
     ShapeMismatch,
     compute_moments,
     diag_gaussian_kl,
-    xbn_transform,
 )
 from oracles import two_pass_moments
 
@@ -100,62 +100,6 @@ class TestEmbeddingBatchValidation:
             EmbeddingBatch(vectors=np.zeros((3, 2)), labels=np.zeros(2, dtype=np.int64))
 
 
-class TestXbnTransform:
-    def test_identity_when_stats_equal(self):
-        rng = np.random.default_rng(0)
-        batch = random_batch(rng, 20, 4)
-        stats = compute_moments(batch)
-        out = xbn_transform(batch, stats, stats)
-        np.testing.assert_allclose(out.vectors, batch.vectors, atol=1e-12)
-
-    def test_hand_example_1d(self):
-        # {0, 2} has mean 1, std 1; retargeting to mean 5, std 2 gives {3, 7}
-        batch = batch_of([(0.0,), (2.0,)])
-        target = MomentStats(mean=np.array([5.0]), std=np.array([2.0]))
-        out = xbn_transform(batch, compute_moments(batch), target)
-        np.testing.assert_allclose(out.vectors.ravel(), [3.0, 7.0], atol=1e-12)
-
-    def test_recomputed_moments_hit_target(self):
-        rng = np.random.default_rng(5)
-        batch = random_batch(rng, 64, 8)
-        target = MomentStats(
-            mean=rng.normal(size=8), std=rng.uniform(0.1, 2.0, size=8)
-        )
-        out = xbn_transform(batch, compute_moments(batch), target)
-        after = compute_moments(out)
-        np.testing.assert_allclose(after.mean, target.mean, atol=1e-9)
-        np.testing.assert_allclose(after.std, target.std, atol=1e-9)
-
-    def test_input_unmodified_and_labels_carried(self):
-        rng = np.random.default_rng(7)
-        batch = random_batch(rng, 10, 3)
-        before = batch.vectors.copy()
-        target = MomentStats(mean=np.ones(3), std=np.ones(3))
-        out = xbn_transform(batch, compute_moments(batch), target)
-        np.testing.assert_array_equal(batch.vectors, before)
-        np.testing.assert_array_equal(out.labels, batch.labels)
-        assert out.vectors is not batch.vectors
-
-    def test_dimension_mismatch(self):
-        batch = batch_of([(0.0, 1.0), (1.0, 0.0)])
-        bad = MomentStats(mean=np.zeros(3), std=np.ones(3))
-        with pytest.raises(DimensionMismatch):
-            xbn_transform(batch, compute_moments(batch), bad)
-
-    def test_scalar_affine_consistency(self):
-        # In 1-d the transform is z -> Az + b with A = std'/std, b = mu' - A mu,
-        # and the moments transform as mu' = A mu + b, std'^2 = A^2 std^2.
-        src = MomentStats(mean=np.array([1.5]), std=np.array([0.5]))
-        tgt = MomentStats(mean=np.array([-2.0]), std=np.array([3.0]))
-        a = tgt.std[0] / src.std[0]
-        b = tgt.mean[0] - a * src.mean[0]
-        assert a * src.mean[0] + b == pytest.approx(tgt.mean[0], abs=1e-12)
-        assert a**2 * src.std[0] ** 2 == pytest.approx(tgt.std[0] ** 2, rel=1e-12)
-        batch = batch_of([(0.0,), (1.5,), (3.0,)])
-        out = xbn_transform(batch, src, tgt)
-        np.testing.assert_allclose(out.vectors, a * batch.vectors + b, atol=1e-12)
-
-
 class TestDiagGaussianKl:
     def test_identical_stats_zero(self):
         s = MomentStats(mean=np.array([0.3, -1.0]), std=np.array([1.0, 0.2]))
@@ -168,12 +112,13 @@ class TestDiagGaussianKl:
 
     def test_post_transform_kl_tiny(self):
         rng = np.random.default_rng(3)
-        bank = random_batch(rng, 48, 6)
+        bank = MemoryBank(capacity=48, dim=6)
+        bank.enqueue(random_batch(rng, 48, 6))
         target = MomentStats(
             mean=rng.normal(size=6), std=rng.uniform(0.2, 1.5, size=6)
         )
-        adapted = xbn_transform(bank, compute_moments(bank), target)
-        assert diag_gaussian_kl(compute_moments(adapted), target) < 1e-9
+        bank.adapt(target)
+        assert diag_gaussian_kl(bank.stats(), target) < 1e-9
 
     def test_dimension_mismatch(self):
         p = MomentStats(mean=np.zeros(2), std=np.ones(2))
@@ -197,25 +142,6 @@ def batch_and_target(draw):
         mean=rng.uniform(-3, 3, size=d), std=rng.uniform(0.05, 4.0, size=d)
     )
     return batch, target
-
-
-@given(batch_and_target())
-@settings(max_examples=60, deadline=None)
-def test_property_exact_moment_matching(case):
-    batch, target = case
-    out = xbn_transform(batch, compute_moments(batch), target)
-    after = compute_moments(out)
-    np.testing.assert_allclose(after.mean, target.mean, atol=1e-9)
-    np.testing.assert_allclose(after.std, target.std, atol=1e-9)
-
-
-@given(batch_and_target())
-@settings(max_examples=40, deadline=None)
-def test_property_transform_idempotent(case):
-    batch, target = case
-    once = xbn_transform(batch, compute_moments(batch), target)
-    twice = xbn_transform(once, compute_moments(once), target)
-    np.testing.assert_allclose(twice.vectors, once.vectors, atol=1e-9)
 
 
 @given(batch_and_target())

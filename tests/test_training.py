@@ -16,7 +16,6 @@ from crossbatch import (
     TrainingRun,
     compute_moments,
     generate_synthetic,
-    run_training,
     sample_pk_batches,
 )
 from crossbatch.losses import LossOutput
@@ -241,7 +240,7 @@ class TestTrainingRunSetup:
 
 class TestTrainingLoop:
     def test_record_counts_and_drift_range(self, dataset):
-        result = run_training(small_config(), dataset, MethodVariant("xbn"))
+        result = TrainingRun(small_config(), dataset, MethodVariant("xbn")).run()
         # 1 warmup + 3 main epochs, ceil(48 / 8) = 6 batches each
         assert len(result.epoch_records) == 4
         assert len(result.iterations) == 24
@@ -252,8 +251,8 @@ class TestTrainingLoop:
         assert set(result.best_recall) == {1, 5}
 
     def test_run_is_deterministic(self, dataset):
-        a = run_training(small_config(), dataset, MethodVariant("axbn"))
-        b = run_training(small_config(), dataset, MethodVariant("axbn"))
+        a = TrainingRun(small_config(), dataset, MethodVariant("axbn")).run()
+        b = TrainingRun(small_config(), dataset, MethodVariant("axbn")).run()
         for wa, wb in zip(a.final_embedder.weights, b.final_embedder.weights):
             np.testing.assert_array_equal(wa, wb)
         assert [r.loss for r in a.iterations] == [r.loss for r in b.iterations]
@@ -263,7 +262,7 @@ class TestTrainingLoop:
     def test_warmup_is_variant_independent(self, dataset):
         cfg = small_config(epochs=0, warmup_epochs=2)
         runs = {
-            kind: run_training(cfg, dataset, MethodVariant(kind))
+            kind: TrainingRun(cfg, dataset, MethodVariant(kind)).run()
             for kind in ("no-xbm", "xbm", "xbn")
         }
         base = runs["no-xbm"].final_embedder
@@ -420,7 +419,7 @@ class TestTrainingLoop:
 
     def test_drift_probe_disabled(self, dataset):
         cfg = small_config(probe_drift=False, warmup_epochs=0, epochs=1)
-        result = run_training(cfg, dataset, MethodVariant("xbn"))
+        result = TrainingRun(cfg, dataset, MethodVariant("xbn")).run()
         assert all(r.drift_mean is None for r in result.iterations)
         assert result.epoch_records[0].mean_drift is None
 
@@ -430,7 +429,7 @@ class TestTrainingLoop:
             labels=dataset.labels,
             splits=np.zeros(dataset.n, dtype=np.uint8),
         )
-        result = run_training(small_config(epochs=1), ds, MethodVariant("xbm"))
+        result = TrainingRun(small_config(epochs=1), ds, MethodVariant("xbm")).run()
         assert result.best_epoch == -1
         assert result.best_recall == {}
         for a, b in zip(result.embedder.weights, result.final_embedder.weights):
@@ -439,7 +438,7 @@ class TestTrainingLoop:
             TrainingRun(small_config(), ds, MethodVariant("xbm")).evaluate()
 
     def test_best_epoch_tracks_strict_improvement(self, dataset):
-        result = run_training(small_config(), dataset, MethodVariant("xbn"))
+        result = TrainingRun(small_config(), dataset, MethodVariant("xbn")).run()
         r1_by_epoch = [rec.recall[1] for rec in result.epoch_records]
         assert result.best_recall[1] == max(r1_by_epoch)
         # earliest epoch achieving the maximum wins (later ties don't replace)
