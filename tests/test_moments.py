@@ -100,6 +100,69 @@ class TestEmbeddingBatchValidation:
             EmbeddingBatch(vectors=np.zeros((3, 2)), labels=np.zeros(2, dtype=np.int64))
 
 
+def adapted(batch, target) -> MemoryBank:
+    """A bank holding batch after MemoryBank.adapt, the XBN transform, onto target."""
+    bank = MemoryBank(capacity=batch.n, dim=batch.dim)
+    bank.enqueue(batch)
+    bank.adapt(target)
+    return bank
+
+
+class TestXbnTransform:
+    def test_identity_when_stats_equal(self):
+        rng = np.random.default_rng(0)
+        batch = random_batch(rng, 20, 4)
+        bank = adapted(batch, compute_moments(batch))
+        np.testing.assert_allclose(bank.vectors, batch.vectors, atol=1e-12)
+
+    def test_hand_example_1d(self):
+        # {0, 2} has mean 1, std 1; retargeting to mean 5, std 2 gives {3, 7}
+        target = MomentStats(mean=np.array([5.0]), std=np.array([2.0]))
+        bank = adapted(batch_of([(0.0,), (2.0,)]), target)
+        np.testing.assert_allclose(bank.vectors.ravel(), [3.0, 7.0], atol=1e-12)
+
+    def test_recomputed_moments_hit_target(self):
+        rng = np.random.default_rng(5)
+        batch = random_batch(rng, 64, 8)
+        target = MomentStats(
+            mean=rng.normal(size=8), std=rng.uniform(0.1, 2.0, size=8)
+        )
+        after = compute_moments(batch_of(adapted(batch, target).vectors))
+        np.testing.assert_allclose(after.mean, target.mean, atol=1e-9)
+        np.testing.assert_allclose(after.std, target.std, atol=1e-9)
+
+    def test_input_unmodified_and_labels_carried(self):
+        rng = np.random.default_rng(7)
+        batch = random_batch(rng, 10, 3)
+        before = batch.vectors.copy()
+        bank = adapted(batch, MomentStats(mean=np.ones(3), std=np.ones(3)))
+        np.testing.assert_array_equal(batch.vectors, before)
+        np.testing.assert_array_equal(bank.labels, batch.labels)
+        assert not np.shares_memory(bank.vectors, batch.vectors)
+
+    def test_dimension_mismatch(self):
+        # the bad target is refused before any row changes
+        bank = MemoryBank(capacity=2, dim=2)
+        bank.enqueue(batch_of([(0.0, 1.0), (1.0, 0.0)]))
+        bad = MomentStats(mean=np.zeros(3), std=np.ones(3))
+        with pytest.raises(DimensionMismatch):
+            bank.adapt(bad)
+        np.testing.assert_array_equal(bank.vectors, [(0.0, 1.0), (1.0, 0.0)])
+
+    def test_scalar_affine_consistency(self):
+        # In 1-d the transform is z -> Az + b with A = std'/std, b = mu' - A mu,
+        # and the moments transform as mu' = A mu + b, std'^2 = A^2 std^2.
+        batch = batch_of([(1.0,), (1.5,), (2.0,)])
+        src = compute_moments(batch)
+        tgt = MomentStats(mean=np.array([-2.0]), std=np.array([3.0]))
+        a = tgt.std[0] / src.std[0]
+        b = tgt.mean[0] - a * src.mean[0]
+        assert a * src.mean[0] + b == pytest.approx(tgt.mean[0], abs=1e-12)
+        assert a**2 * src.std[0] ** 2 == pytest.approx(tgt.std[0] ** 2, rel=1e-12)
+        bank = adapted(batch, tgt)
+        np.testing.assert_allclose(bank.vectors, a * batch.vectors + b, atol=1e-12)
+
+
 class TestDiagGaussianKl:
     def test_identical_stats_zero(self):
         s = MomentStats(mean=np.array([0.3, -1.0]), std=np.array([1.0, 0.2]))
@@ -142,6 +205,25 @@ def batch_and_target(draw):
         mean=rng.uniform(-3, 3, size=d), std=rng.uniform(0.05, 4.0, size=d)
     )
     return batch, target
+
+
+@given(batch_and_target())
+@settings(max_examples=60, deadline=None)
+def test_property_exact_moment_matching(case):
+    batch, target = case
+    after = adapted(batch, target).stats()
+    np.testing.assert_allclose(after.mean, target.mean, atol=1e-9)
+    np.testing.assert_allclose(after.std, target.std, atol=1e-9)
+
+
+@given(batch_and_target())
+@settings(max_examples=40, deadline=None)
+def test_property_transform_idempotent(case):
+    batch, target = case
+    bank = adapted(batch, target)
+    once = bank.vectors.copy()
+    bank.adapt(target)
+    np.testing.assert_allclose(bank.vectors, once, atol=1e-9)
 
 
 @given(batch_and_target())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from crossbatch import (
+    TAG_TRAIN,
     EmbeddingBatch,
     FeatureDataset,
     InvalidConfig,
@@ -236,6 +237,15 @@ class TestTrainingRunSetup:
         )
         with pytest.raises(InvalidConfig):
             TrainingRun(small_config(), ds, MethodVariant("xbm"))
+
+    def test_trains_on_the_train_rows_in_file_order(self, dataset):
+        # validation rows interleaved with the train rows never reach training
+        order = np.random.default_rng(3).permutation(dataset.n)
+        ds = FeatureDataset(dataset.features[order], dataset.labels[order], dataset.splits[order])
+        train = ds.splits == TAG_TRAIN
+        run = TrainingRun(small_config(), ds, MethodVariant("xbm"))
+        np.testing.assert_array_equal(run.train_features, ds.features[train])
+        np.testing.assert_array_equal(run.train_labels, ds.labels[train])
 
 
 class TestTrainingLoop:
