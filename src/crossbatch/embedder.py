@@ -235,6 +235,9 @@ class Optimizer:
         self._params = embedder.params[self._part]
         self._m = np.zeros_like(self._params)
         self._v = np.zeros_like(self._params)
+        # AdamW's step quotient lr * m_hat / (sqrt(v_hat) + eps), built in place
+        self._num = np.empty_like(self._params)
+        self._den = np.empty_like(self._params)
 
     def step(self, grad: np.ndarray, epoch: int) -> None:
         """One in-place update of the trained part at the scheduled learning rate.
@@ -255,16 +258,19 @@ class Optimizer:
                 grad = grad + cfg.weight_decay * param
             param -= lr * grad
         else:
-            m, v = self._m, self._v
+            m, v, num, den = self._m, self._v, self._num, self._den
             m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * grad
+            m += np.multiply(1.0 - ADAM_BETA1, grad, out=num)
             v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * grad**2
-            m_hat = m / (1.0 - ADAM_BETA1**self.t)
-            v_hat = v / (1.0 - ADAM_BETA2**self.t)
-            param -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            np.square(grad, out=den)
+            v += np.multiply(1.0 - ADAM_BETA2, den, out=den)
+            np.divide(m, 1.0 - ADAM_BETA1**self.t, out=num)
+            num *= lr
+            np.sqrt(np.divide(v, 1.0 - ADAM_BETA2**self.t, out=den), out=den)
+            den += ADAM_EPS
+            param -= np.divide(num, den, out=num)
             if cfg.weight_decay:
-                param -= lr * cfg.weight_decay * param
+                param -= np.multiply(lr * cfg.weight_decay, param, out=num)
 
 
 def save_checkpoint(embedder: MLPEmbedder, path) -> None:

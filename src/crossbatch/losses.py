@@ -114,9 +114,12 @@ def mine_pairs(
     """
     d = distance_matrix(batch.vectors, reference.vectors)
     same = batch.labels[:, None] == reference.labels[None, :]
-    pos_mask = _drop_self_pairs(same & (d > cfg.pos_margin))
-    neg_mask = ~same & (d < cfg.neg_margin)
-    return MinedPairs(pos_mask, neg_mask, d)
+    pos_mask = np.greater(d, cfg.pos_margin)
+    pos_mask &= same
+    neg_mask = np.less(d, cfg.neg_margin)
+    # below the margin and not the same class: neg > same is neg & ~same
+    np.greater(neg_mask, same, out=neg_mask)
+    return MinedPairs(_drop_self_pairs(pos_mask), neg_mask, d)
 
 
 def _weights_to_grad(
@@ -146,24 +149,22 @@ def contrastive_loss(
     The loss reads the miner's distance matrix rather than recomputing it, and
     relies on the miner's predicates (d > pos_margin, d < neg_margin) for
     every mined hinge being active, so the gradient weight of a pair is just
-    1/n_pos or -1/n_neg.
+    1/n_pos or -1/n_neg. The value is read off those weights w as
+    sum(w * d) - pos_margin * [n_pos > 0] + neg_margin * [n_neg > 0], clamped
+    at 0 so that rounding never makes it negative or -0.0. The sum runs over
+    every entry of d, so a non-finite distance anywhere, mined or not, makes
+    the value non-finite (the trainer raises NonFiniteLoss and rolls back).
     """
     pairs = mine_pairs(batch, reference, cfg)
     d = pairs.distances
-    # row-major, the order of pairs.positives and pairs.negatives; positives
-    # are few, so they are taken by index
-    pos = np.flatnonzero(pairs.pos_mask)
-    pos_d = d.ravel()[pos]
-    neg_d = np.compress(pairs.neg_mask.ravel(), d.ravel())
-    value = 0.0
-    # 0 - neg_mask / n_neg, then 1 / n_pos at the positives (the masks are disjoint)
-    weights = pairs.neg_mask * (1.0 / max(neg_d.size, 1))
-    np.subtract(0.0, weights, out=weights)
-    if pos_d.size:
-        value += float((pos_d - cfg.pos_margin).sum() / pos_d.size)
-        np.put(weights, pos, 1.0 / pos_d.size)
-    if neg_d.size:
-        value += float((cfg.neg_margin - neg_d).sum() / neg_d.size)
+    n_pos = np.count_nonzero(pairs.pos_mask)
+    n_neg = np.count_nonzero(pairs.neg_mask)
+    # -1/n_neg at the negatives, then 1/n_pos at the positives (the masks are disjoint)
+    weights = pairs.neg_mask * (-1.0 / max(n_neg, 1))
+    np.copyto(weights, 1.0 / max(n_pos, 1), where=pairs.pos_mask)
+    value = np.vdot(weights, d) - cfg.pos_margin * (n_pos > 0) + cfg.neg_margin * (n_neg > 0)
+    # not max(0.0, value), which would map NaN to 0.0
+    value = 0.0 if value <= 0.0 else float(value)
     grad = _weights_to_grad(weights, batch.vectors, reference.vectors)
     return LossOutput(value=value, grad=grad)
 

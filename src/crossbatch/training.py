@@ -332,7 +332,9 @@ class TrainingRun:
         drift_mean = drift_max = None
         if config.probe_drift:
             z_now = self.embedder.embed(self.probe_inputs)
-            dists = np.linalg.norm(z_now - self._prev_probe_z, axis=1)
+            diff = z_now - self._prev_probe_z
+            # what np.linalg.norm(diff, axis=1) computes, without its temporaries
+            dists = np.sqrt(np.add.reduce(np.square(diff, out=diff), axis=1))
             drift_mean, drift_max = float(dists.mean()), float(dists.max())
             self._prev_probe_z = z_now
         record = IterationRecord(

@@ -268,7 +268,8 @@ def index_list_contrastive(batch_vectors, batch_labels, ref_vectors, ref_labels,
 
     Pairs are argwhere lists over a freshly built distance matrix, hinges are
     clipped per pair, and per-pair weights are scattered back with np.add.at.
-    The package's mask form must reproduce it bit for bit.
+    The package's mask form must reproduce its gradient bit for bit and its
+    value to 1e-12 (it sums the weighted distances in one dot product).
     """
     b = np.asarray(batch_vectors, dtype=np.float64)
     r = np.asarray(ref_vectors, dtype=np.float64)

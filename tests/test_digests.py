@@ -35,12 +35,12 @@ GRID_FILES = ("sweep_runs.csv", "sweep_summary.csv", "drift.csv")
 
 DIGESTS = {
     # train --variant V: checkpoint.xbnc / metrics.jsonl / summary.csv
-    "no-xbm": ("938482a7cd2772e1", "4c921897e6cf97ba", "3a82673040269cff"),
-    "xbm": ("e52c798e103e0f03", "eab91d01d480cb0e", "84ccab48c03fe7ef"),
-    "xbm-star": ("74edbed54a992480", "b4db68cbe37817df", "83e4011bd00ce525"),
-    "xbn": ("e42338f27bcf94d6", "0e33e49edddc6438", "1a98648f2eab9f1f"),
-    "axbn": ("5719796d82eddd75", "d37dfabf52c4ed55", "11ed6b253b54ef8d"),
-    "ema:0.5": ("7ac868c5a7897546", "36e459f293773e19", "763b107b64bd7c76"),
+    "no-xbm": ("938482a7cd2772e1", "2e96640f3d73e0d2", "3a82673040269cff"),
+    "xbm": ("e52c798e103e0f03", "e8382c81f0ee4757", "84ccab48c03fe7ef"),
+    "xbm-star": ("74edbed54a992480", "3661b18e7f3a1594", "83e4011bd00ce525"),
+    "xbn": ("e42338f27bcf94d6", "e3b0e7dd0ba53d55", "1a98648f2eab9f1f"),
+    "axbn": ("5719796d82eddd75", "7ac56d13d6f959f1", "11ed6b253b54ef8d"),
+    "ema:0.5": ("7ac868c5a7897546", "7ab3bde23fb0bba7", "763b107b64bd7c76"),
     # grids: sweep_runs.csv / sweep_summary.csv / drift.csv
     "sweep": ("38313beab30a8e85", "1fe7e27081ce5d23", "074eb873c9b0e83e"),
     "drift": ("fccf6b24ce175711", "b4849f8d5ef84acd", "d3aab80e75e9b419"),

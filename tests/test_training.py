@@ -215,6 +215,17 @@ class TestFeatureDrift:
         assert record.drift_mean == pytest.approx(math.fsum(dists) / len(dists), rel=1e-12)
         assert record.drift_max == pytest.approx(max(dists), rel=1e-12)
 
+    def test_equals_linalg_norm_byte_for_byte(self, dataset):
+        run = TrainingRun(small_config(warmup_epochs=0), dataset, MethodVariant("axbn"))
+        before = run.embedder.embed(run.probe_inputs)
+        for idx in run.epoch_batches()[:4]:
+            record = run.train_step(idx)
+            after = run.embedder.embed(run.probe_inputs)
+            norms = np.linalg.norm(after - before, axis=1)
+            assert record.drift_mean.hex() == float(norms.mean()).hex()
+            assert record.drift_max.hex() == float(norms.max()).hex()
+            before = after
+
 
 class TestTrainingRunSetup:
     def test_capacity_below_batch_rejected_for_memory_variants(self, dataset):
