@@ -299,10 +299,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise InvalidConfig(f"--workers must be >= 1, got {args.workers}")
     settings = resolve_settings(args)
     _load_dataset(settings)  # fail fast on a bad path before launching workers
-    config = build_train_config(settings)
+    # from the settings, not a built config: a base value that is invalid fails
+    # only the cells that keep it, and none if the axis overrides it
+    seed, ks = (getattr(TrainConfig(), k) if settings[k] is None else settings[k]
+                for k in ("seed", "recall_ks"))
     key = args.axis.replace("-", "_") if args.axis else None
     values = [None] if key is None else [_coerce(key, v) for v in args.values.split(",")]
-    seeds = [config.seed] if args.seeds is None else [
+    seeds = [seed] if args.seeds is None else [
         _coerce("seed", s) for s in args.seeds.split(",")
     ]
     variants = [MethodVariant.parse(name) for name in args.variants.split(",")]
@@ -310,7 +313,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     _distinct("--variants", [variant.spec for variant in variants])
     _distinct("--seeds", seeds)
     out_root = Path(args.out or default_out_root())
-    ks = config.recall_ks
 
     cells = []
     for value in values:

@@ -103,7 +103,7 @@ class SyntheticConfig:
     seed: int = 0
     protocol: str = "single"  # or "query-gallery"
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.train_classes < 2 or self.val_classes < 2:
             raise InvalidConfig("need >= 2 train and >= 2 validation classes")
         if self.samples_per_class < 2:
@@ -120,7 +120,6 @@ class SyntheticConfig:
 
 def generate_synthetic(cfg: SyntheticConfig) -> FeatureDataset:
     """Deterministic per seed; labels 0..train_classes-1 are train, the rest validation."""
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     total_classes = cfg.train_classes + cfg.val_classes
     spc = cfg.samples_per_class

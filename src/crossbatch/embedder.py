@@ -198,7 +198,7 @@ class OptimizerConfig:
     schedule_gamma: float = 1.0
     schedule_every: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.kind not in ("sgd", "adamw"):
             raise InvalidConfig(f"optimizer kind must be sgd or adamw, got {self.kind!r}")
         if not 0.0 < self.learning_rate < math.inf:
@@ -224,7 +224,6 @@ class Optimizer:
     """
 
     def __init__(self, config: OptimizerConfig, embedder: MLPEmbedder, last_layer_only=False):
-        config.validate()
         self.config = config
         self.t = 0
         start = 0

@@ -31,12 +31,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KalmanConfig:
+    """The filter's knobs, checked when built, so the filter functions take them as valid."""
+
     q: float = 1.0  # process-noise variance
     r: float = 0.01  # base measurement-noise variance, scaled by 1/batch_size per step
     p0: float = 1.0  # initial estimation variance
     gain_interval: int = 1  # steps between gain recomputations
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not 0 < self.q < math.inf:
             raise InvalidConfig(f"q must be finite and > 0, got {self.q}")
         if not 0 <= self.r < math.inf:
@@ -65,7 +67,6 @@ def kalman_init(first_obs: MomentStats, config: KalmanConfig) -> KalmanState:
 
     The estimates are the observation itself, hence gain 1; p starts at p0.
     """
-    config.validate()
     return KalmanState(
         mean_est=first_obs.mean.copy(),
         std_est=np.maximum(EPS_STD, first_obs.std),
@@ -107,7 +108,6 @@ def kalman_step(
     Between recomputations both gain and p are frozen. The mean/std innovation
     updates run every step; std estimates stay floored at EPS_STD.
     """
-    config.validate()
     if batch_size < 1:
         raise InvalidConfig(f"batch_size must be >= 1, got {batch_size}")
     if state.step % config.gain_interval == 0:
@@ -135,7 +135,6 @@ def steady_state_gain(config: KalmanConfig, batch_size: int) -> float:
     P = (q + sqrt(q^2 + 4qr')) / 2 and K* = P / (P + r'). Depends on the config
     only through r'/q; equals 1 when r' = 0.
     """
-    config.validate()
     if batch_size < 1:
         raise InvalidConfig(f"batch_size must be >= 1, got {batch_size}")
     r_eff = config.r / batch_size

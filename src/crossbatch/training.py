@@ -56,6 +56,8 @@ class MethodVariant:
     momentum: float = 0.0
 
     def __post_init__(self):
+        # one spelling, spec and directory per momentum: -0.0 + 0.0 is 0.0
+        object.__setattr__(self, "momentum", self.momentum + 0.0)
         if self.kind not in VARIANTS:
             raise InvalidConfig(f"variant must be one of {tuple(VARIANTS)}, got {self.kind!r}")
         if self.kind == "ema" and not 0.0 <= self.momentum <= 1.0:
@@ -124,7 +126,7 @@ class TrainConfig:
     recall_ks: tuple[int, ...] = (1, 10)
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.batch_size < 2:
             raise InvalidConfig(f"batch_size must be >= 2, got {self.batch_size}")
         _classes_per_batch(self.batch_size, self.samples_per_class)
@@ -134,6 +136,8 @@ class TrainConfig:
             raise InvalidConfig("set memory_capacity or memory_fraction")
         if self.memory_capacity is not None and self.memory_capacity < 0:
             raise InvalidConfig(f"memory_capacity must be >= 0, got {self.memory_capacity}")
+        if self.memory_capacity is None and not 0.0 <= self.memory_fraction <= 1.0:
+            raise InvalidConfig(f"memory_fraction must be in [0, 1], got {self.memory_fraction}")
         if self.embed_dim < 1:
             raise InvalidConfig(f"embed_dim must be >= 1, got {self.embed_dim}")
         if any(h < 1 for h in self.hidden_dims):
@@ -141,15 +145,10 @@ class TrainConfig:
         if _check_k_values(self.recall_ks)[0] != 1:
             # run() picks the best epoch by R@1
             raise InvalidConfig(f"recall_ks must start with 1, got {self.recall_ks}")
-        self.warmup_optimizer.validate()
-        self.main_optimizer.validate()
-        self.kalman.validate()
 
     def resolve_capacity(self, train_size: int) -> int:
         if self.memory_capacity is not None:
             return self.memory_capacity
-        if not 0.0 <= self.memory_fraction <= 1.0:
-            raise InvalidConfig(f"memory_fraction must be in [0, 1], got {self.memory_fraction}")
         return int(round(self.memory_fraction * train_size))
 
 
@@ -240,7 +239,6 @@ class TrainingRun:
     """
 
     def __init__(self, config: TrainConfig, dataset: FeatureDataset, variant: MethodVariant):
-        config.validate()
         self.config = config
         self.variant = variant
         self.dataset = dataset

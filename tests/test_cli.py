@@ -360,6 +360,7 @@ class TestFlagValidation:
         (("--recall-ks", "1,17"), "k=17 must be < effective gallery size 17"),
         # 7 classes per batch, from a train split of 6
         (("--batch-size", "14"), "need >= 7 distinct classes, dataset has 6"),
+        (("--memory-fraction", "1.5"), "memory_fraction must be in [0, 1], got 1.5"),
     ])
     def test_rejected_before_training(self, tmp_path, data_file, capsys, extra, needle):
         out = tmp_path / "out"
@@ -530,6 +531,7 @@ class TestSweep:
         ("batch-size", "6,12,6", "xbm", "0", "--values lists 6 more"),
         ("memory-fraction", "0.5,.5", "xbm", "0", "--values lists 0.5 more"),
         ("batch-size", "6", "xbm,ema:0.5,ema:.5", "0", "--variants lists ema:0.5 more"),
+        ("batch-size", "6", "ema:0,ema:-0.0", "0", "--variants lists ema:0.0 more"),
         ("batch-size", "6", "xbm", "1,0,1", "--seeds lists 1 more"),
     ])
     def test_repeated_entries_exit_2_before_any_run(
@@ -541,6 +543,29 @@ class TestSweep:
         assert code == 2
         assert repeated in capsys.readouterr().err
         assert not out.exists()
+
+    def test_axis_overrides_an_invalid_base_value(self, tmp_path, data_file):
+        out = tmp_path / "sweep"
+        # the default batch size 16 is not divisible by 6; each swept one is
+        code = main(["sweep", "--dataset", str(data_file), "--out", str(out), *FAST[4:],
+                     "--samples-per-class", "6", "--axis", "batch-size", "--values", "12,24",
+                     "--variants", "no-xbm", "--seeds", "0"])
+        assert code == 0
+        runs = read_csv_rows(out / "sweep_runs.csv")
+        assert [(r["axis_value"], r["status"]) for r in runs] == [("12", "ok"), ("24", "ok")]
+
+    def test_invalid_base_value_fails_each_cell(self, tmp_path, data_file, capsys):
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--dataset", str(data_file), "--out", str(out), *FAST[4:],
+                     "--batch-size", "10", "--axis", "lr", "--values", "1e-3,2e-3",
+                     "--variants", "xbm", "--seeds", "0"])
+        assert code == 1
+        runs = read_csv_rows(out / "sweep_runs.csv")
+        assert [r["status"] for r in runs] == ["failed", "failed"]
+        assert {r["error"] for r in runs} == {"batch_size 10 not divisible by samples_per_class 4"}
+        assert [r["n_seeds"] for r in read_csv_rows(out / "sweep_summary.csv")] == ["0", "0"]
+        assert read_csv_rows(out / "drift.csv") == []
+        assert capsys.readouterr().out.count("failed: lr=") == 2
 
     def test_axes_are_the_scalar_settings(self, capsys):
         axes = [

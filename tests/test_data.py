@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -146,7 +148,11 @@ class TestGenerateSynthetic:
         base = dict(train_classes=3, val_classes=2, samples_per_class=4, input_dim=4)
         base.update(kwargs)
         with pytest.raises(InvalidConfig):
-            generate_synthetic(SyntheticConfig(**base))
+            SyntheticConfig(**base)
+
+    def test_replace_into_invalid_value(self):
+        with pytest.raises(InvalidConfig, match=r"^cluster_std must be > 0, got 0.0$"):
+            dataclasses.replace(SMALL, cluster_std=0.0)
 
 
 class TestBinaryFormat:

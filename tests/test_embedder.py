@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 import tracemalloc
 
@@ -337,7 +338,11 @@ class TestOptimizer:
 
     def test_invalid_kind(self):
         with pytest.raises(InvalidConfig):
-            OptimizerConfig(kind="rmsprop").validate()
+            OptimizerConfig(kind="rmsprop")
+
+    def test_replace_into_invalid_value(self):
+        with pytest.raises(InvalidConfig, match=r"^learning_rate must be finite and > 0, got inf$"):
+            dataclasses.replace(OptimizerConfig(), learning_rate=np.inf)
 
     @pytest.mark.parametrize("config", [
         OptimizerConfig(kind="sgd", learning_rate=0.05),

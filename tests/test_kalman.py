@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,7 @@ def unit_obs(d=3):
 
 class TestConfigAndInit:
     def test_paper_default_config_accepted(self):
-        KalmanConfig(q=1.0, p0=1.0, r=0.01).validate()
+        KalmanConfig(q=1.0, p0=1.0, r=0.01)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -37,7 +39,11 @@ class TestConfigAndInit:
     )
     def test_invalid_config(self, kwargs):
         with pytest.raises(InvalidConfig):
-            KalmanConfig(**kwargs).validate()
+            KalmanConfig(**kwargs)
+
+    def test_replace_into_invalid_value(self):
+        with pytest.raises(InvalidConfig, match=r"^r must be finite and >= 0, got -0.5$"):
+            dataclasses.replace(KalmanConfig(), r=-0.5)
 
     def test_init_copies_observation(self):
         state = kalman_init(unit_obs(), KalmanConfig(p0=1.0))

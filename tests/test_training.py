@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -69,6 +70,12 @@ class TestMethodVariant:
             "ema0", "ema1", "ema0.3", "ema0.9"
         ]
 
+    def test_negative_zero_momentum_is_zero(self):
+        variant = MethodVariant.parse("ema:-0.0")
+        assert variant == MethodVariant.parse("ema:0")
+        assert (variant.spec, str(variant)) == ("ema:0.0", "ema0")
+        assert math.copysign(1.0, variant.momentum) == 1.0
+
     def test_invalid(self):
         with pytest.raises(InvalidConfig):
             MethodVariant("banana")
@@ -102,16 +109,26 @@ class TestTrainConfig:
             {"memory_capacity": -1},
             {"embed_dim": 0},
             {"hidden_dims": (8, 0)},
-            {"main_optimizer": OptimizerConfig(learning_rate=np.inf)},
-            {"main_optimizer": OptimizerConfig(learning_rate=np.nan)},
-            {"warmup_optimizer": OptimizerConfig(kind="sgd", learning_rate=np.inf)},
-            {"main_optimizer": OptimizerConfig(weight_decay=np.inf)},
-            {"main_optimizer": OptimizerConfig(weight_decay=np.nan)},
+            # optimizer settings, each built into an OptimizerConfig inside the test
+            {"main_optimizer": {"learning_rate": np.inf}},
+            {"main_optimizer": {"learning_rate": np.nan}},
+            {"warmup_optimizer": {"kind": "sgd", "learning_rate": np.inf}},
+            {"main_optimizer": {"weight_decay": np.inf}},
+            {"main_optimizer": {"weight_decay": np.nan}},
+            {"memory_fraction": 1.5},
+            {"memory_fraction": np.nan},
         ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(InvalidConfig):
-            TrainConfig(**kwargs).validate()
+            TrainConfig(**{key: OptimizerConfig(**value) if isinstance(value, dict) else value
+                           for key, value in kwargs.items()})
+
+    def test_replace_into_invalid_value(self):
+        with pytest.raises(InvalidConfig, match=r"^embed_dim must be >= 1, got 0$"):
+            dataclasses.replace(TrainConfig(), embed_dim=0)
+        with pytest.raises(InvalidConfig, match=r"^memory_fraction must be in \[0, 1\], got 2.0$"):
+            dataclasses.replace(TrainConfig(), memory_fraction=2.0)
 
     @pytest.mark.parametrize(
         "recall_ks,needle",
@@ -125,14 +142,14 @@ class TestTrainConfig:
     )
     def test_invalid_recall_ks(self, recall_ks, needle):
         with pytest.raises(InvalidConfig, match=needle):
-            TrainConfig(recall_ks=recall_ks).validate()
+            TrainConfig(recall_ks=recall_ks)
 
     def test_resolve_capacity(self):
         assert TrainConfig(memory_fraction=0.5).resolve_capacity(101) == 50
         assert TrainConfig(memory_fraction=1.0).resolve_capacity(7) == 7
         assert TrainConfig(memory_fraction=None, memory_capacity=7).resolve_capacity(100) == 7
-        with pytest.raises(InvalidConfig):
-            TrainConfig(memory_fraction=1.5).resolve_capacity(10)
+        # the fraction is checked only when it sets the capacity
+        assert TrainConfig(memory_fraction=1.5, memory_capacity=7).resolve_capacity(100) == 7
 
 
 class TestSamplePkBatches:
