@@ -162,7 +162,10 @@ def contrastive_loss(
     # -1/n_neg at the negatives, then 1/n_pos at the positives (the masks are disjoint)
     weights = pairs.neg_mask * (-1.0 / max(n_neg, 1))
     np.copyto(weights, 1.0 / max(n_pos, 1), where=pairs.pos_mask)
-    value = np.vdot(weights, d) - cfg.pos_margin * (n_pos > 0) + cfg.neg_margin * (n_neg > 0)
+    # einsum, unlike vdot, never hands the sum to BLAS, whose threads split it
+    # and so move its rounding with the thread count
+    value = (np.einsum("ij,ij->", weights, d)
+             - cfg.pos_margin * (n_pos > 0) + cfg.neg_margin * (n_neg > 0))
     # not max(0.0, value), which would map NaN to 0.0
     value = 0.0 if value <= 0.0 else float(value)
     grad = _weights_to_grad(weights, batch.vectors, reference.vectors)
