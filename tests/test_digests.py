@@ -1,9 +1,10 @@
 """Byte identity of run outputs, checked against committed digests.
 
 One dataset (`gen-data --seed 801 --cluster-std 1.02`), six train runs, a
-sweep and a drift grid, all run in process through cli.main. The first 16 hex
-digits of each output's SHA-256 must equal DIGESTS. config.txt is left out: it
-holds the dataset's absolute path.
+sweep and a drift grid, all run through cli.main. The recipe runs twice, in
+two subprocesses with one and with two BLAS threads, and the first 16 hex
+digits of each output's SHA-256 must equal DIGESTS in both. config.txt is left
+out: it holds the dataset's absolute path.
 
 A change that moves rounding on purpose updates DIGESTS in the same commit;
 the failure message prints the observed table in the format below. The
@@ -12,6 +13,11 @@ says which stack it found.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,19 +66,44 @@ def _table(digests: dict) -> str:
     return "\n".join(f"    {name!r}: {value!r}," for name, value in digests.items())
 
 
+def _observe(root: Path) -> dict:
+    """Run the recipe under root and return its digests, keyed as DIGESTS."""
+    data = str(root / "data.xbnf")
+    assert main(["gen-data", "--out", data, "--seed", "801", "--cluster-std", "1.02"]) == 0
+    observed = {}
+    for spec in [name for name in DIGESTS if name not in GRIDS]:
+        out = root / "train"
+        assert main(["train", "--dataset", data, "--out", str(out), "--variant", spec, *TRAIN]) == 0
+        observed[spec] = _digests(out / str(MethodVariant.parse(spec)) / "3", RUN_FILES)
+    for name, argv in GRIDS.items():
+        out = root / name
+        assert main([*argv, "--dataset", data, "--out", str(out)]) == 0
+        observed[name] = _digests(out, GRID_FILES)
+    return observed
+
+
 def test_outputs_match_committed_digests(tmp_path):
     if _stack() != STACK:
         pytest.skip(f"digests were taken on numpy {STACK[0]} with {STACK[1]} {STACK[2]}; "
                     f"this is numpy {_stack()[0]} with {_stack()[1]} {_stack()[2]}")
-    data = str(tmp_path / "data.xbnf")
-    assert main(["gen-data", "--out", data, "--seed", "801", "--cluster-std", "1.02"]) == 0
-    observed = {}
-    for spec in [name for name in DIGESTS if name not in GRIDS]:
-        out = tmp_path / "train"
-        assert main(["train", "--dataset", data, "--out", str(out), "--variant", spec, *TRAIN]) == 0
-        observed[spec] = _digests(out / str(MethodVariant.parse(spec)) / "3", RUN_FILES)
-    for name, argv in GRIDS.items():
-        out = tmp_path / name
-        assert main([*argv, "--dataset", data, "--out", str(out)]) == 0
-        observed[name] = _digests(out, GRID_FILES)
-    assert observed == DIGESTS, f"outputs moved; observed digests:\n{_table(observed)}"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    procs = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        (tmp_path / threads).mkdir()
+        procs[threads] = subprocess.Popen([sys.executable, __file__, str(tmp_path / threads)],
+                                          env=env, stdout=subprocess.DEVNULL,
+                                          stderr=subprocess.PIPE, text=True)
+    for threads, proc in procs.items():
+        _, stderr = proc.communicate(timeout=300)
+        assert proc.returncode == 0, stderr
+        digests = json.loads((tmp_path / threads / "digests.json").read_text())
+        observed = {name: tuple(value) for name, value in digests.items()}
+        assert observed == DIGESTS, (f"outputs moved at {threads} BLAS thread(s); "
+                                     f"observed digests:\n{_table(observed)}")
+
+
+if __name__ == "__main__":
+    root = Path(sys.argv[1])
+    (root / "digests.json").write_text(json.dumps(_observe(root)))
