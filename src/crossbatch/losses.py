@@ -162,8 +162,7 @@ def contrastive_loss(
     # -1/n_neg at the negatives, then 1/n_pos at the positives (the masks are disjoint)
     weights = pairs.neg_mask * (-1.0 / max(n_neg, 1))
     np.copyto(weights, 1.0 / max(n_pos, 1), where=pairs.pos_mask)
-    # einsum, unlike vdot, never hands the sum to BLAS, whose threads split it
-    # and so move its rounding with the thread count
+    # einsum, not BLAS: BLAS threads split a dot product and move its rounding
     value = (np.einsum("ij,ij->", weights, d)
              - cfg.pos_margin * (n_pos > 0) + cfg.neg_margin * (n_neg > 0))
     # not max(0.0, value), which would map NaN to 0.0
@@ -214,9 +213,9 @@ def xbm_loss(
 ) -> LossOutput:
     """Contrastive loss under one of the reference-set variants.
 
-    no-xbm: reference is the batch itself. xbm: reference is the bank contents
-    followed by the batch. xbm-star: sum of the two. The bank is read, never
-    modified; enqueueing and adaptation are the trainer's job before this call.
+    no-xbm: reference is the batch itself. xbm: bank.reference_set, new arrays
+    of the bank contents then the batch. xbm-star: sum of the two. The bank is
+    read, never changed; the trainer adapts it before and enqueues after.
     """
     if variant == "no-xbm":
         return contrastive_loss(batch, batch, cfg)

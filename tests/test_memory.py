@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossbatch import (
-    CrossbatchError,
     DimensionMismatch,
     EmbeddingBatch,
     InsufficientSamples,
@@ -177,19 +176,57 @@ class TestStateRestore:
         np.testing.assert_array_equal(bank.labels, np.arange(4))
         assert len(bank) == 4
 
-    def test_only_one_adapt_can_be_undone(self):
-        target = MomentStats(mean=np.zeros(2), std=np.ones(2))
+    def test_restores_any_earlier_state(self):
+        target = MomentStats(mean=np.ones(2), std=np.full(2, 3.0))
         for after in (
             lambda bank: bank.enqueue(batch_of(rows(2, 2, seed=3))),
             lambda bank: (bank.adapt(target), bank.enqueue(batch_of(rows(2, 2, seed=3)))),
             lambda bank: (bank.adapt(target), bank.adapt(target)),
         ):
-            bank = MemoryBank(capacity=8, dim=2)
-            bank.enqueue(batch_of(rows(4, 2, seed=1), np.arange(4)))
+            bank = MemoryBank(capacity=5, dim=2)
+            stored = batch_of(rows(4, 2, seed=1), np.arange(4))
+            bank.enqueue(stored)
             saved = bank.state()
             after(bank)
-            with pytest.raises(CrossbatchError, match="one adapt"):
-                bank.restore(saved)
+            bank.restore(saved)
+            assert bank.vectors.tobytes() == stored.vectors.tobytes()
+            np.testing.assert_array_equal(bank.labels, stored.labels)
+
+
+class TestNoWritesIntoHandedOutArrays:
+    def test_reference_set_keeps_its_bytes_across_a_step(self):
+        bank = MemoryBank(capacity=6, dim=3)
+        bank.enqueue(batch_of(rows(6, 3, seed=1), np.arange(6)))
+        for step in range(4):
+            batch = batch_of(rows(4, 3, seed=10 + step), np.arange(4) + 10 * step)
+            ref = bank.reference_set(batch)
+            vectors, labels = ref.vectors.copy(), ref.labels.copy()
+            bank.adapt(MomentStats(mean=np.full(3, step), std=np.full(3, 2.0)))
+            want = np.concatenate([bank.vectors, batch.vectors])[-6:]
+            bank.enqueue(batch)
+            assert bank.vectors.tobytes() == want.tobytes()
+            assert ref.vectors.tobytes() == vectors.tobytes()
+            np.testing.assert_array_equal(ref.labels, labels)
+
+    def test_enqueue_keeps_the_tail_of_the_batch_reference_set(self):
+        # the stored rows are copied once per step, into the reference set
+        bank = MemoryBank(capacity=6, dim=3)
+        bank.enqueue(batch_of(rows(5, 3, seed=1), np.arange(5)))
+        batch = batch_of(rows(4, 3, seed=2), np.arange(4))
+        ref = bank.reference_set(batch)
+        bank.enqueue(batch)
+        assert np.shares_memory(bank.vectors, ref.vectors)
+        assert np.shares_memory(bank.labels, ref.labels)
+        np.testing.assert_array_equal(bank.vectors, ref.vectors[-6:])
+        assert not np.shares_memory(bank.vectors, batch.vectors)
+
+    def test_enqueue_never_shares_the_callers_batch(self):
+        bank = MemoryBank(capacity=6, dim=3)
+        batch = batch_of(rows(4, 3, seed=2), np.arange(4))
+        assert bank.reference_set(batch) is batch
+        bank.enqueue(batch)
+        assert not np.shares_memory(bank.vectors, batch.vectors)
+        assert not np.shares_memory(bank.labels, batch.labels)
 
 
 @st.composite
@@ -228,7 +265,8 @@ def _model_batch(sim: FifoList, dim: int) -> EmbeddingBatch:
     capacity=st.integers(min_value=0, max_value=12),
     dim=st.integers(min_value=1, max_value=4),
     ops=st.lists(
-        st.tuples(st.sampled_from(["enqueue", "adapt", "reference_set", "failed_step"]),
+        st.tuples(st.sampled_from(["enqueue", "adapt", "reference_set", "enqueue_referenced",
+                                   "failed_step", "restore"]),
                   st.integers(min_value=0, max_value=9)),
         max_size=14,
     ),
@@ -236,13 +274,18 @@ def _model_batch(sim: FifoList, dim: int) -> EmbeddingBatch:
 )
 @settings(max_examples=120, deadline=None)
 def test_property_interleaved_operations_match_models(capacity, dim, ops, seed):
-    # the bank against a list FIFO whose adaptation is xbn_transform, bit for bit
+    # the bank against a list FIFO whose adaptation is xbn_transform, bit for bit;
+    # reference sets handed out keep their bytes to the end
     rng = np.random.default_rng(seed)
     bank = MemoryBank(capacity=capacity, dim=dim)
     sim = FifoList(capacity)
+    saved, handed_out, referenced = [], [], None
     for op, size in ops:
+        saved.append((bank.state(), list(sim.items)))
         batch = batch_of(rng.normal(size=(size, dim)), rng.integers(0, 5, size=size))
         target = MomentStats(mean=rng.normal(size=dim), std=rng.uniform(0.1, 2.0, dim))
+        if op == "enqueue_referenced" and referenced is not None:
+            op, batch = "enqueue", referenced  # the batch of the last reference_set
         if op == "enqueue":
             bank.enqueue(batch)
             sim.push_batch(batch.vectors, batch.labels)
@@ -252,16 +295,24 @@ def test_property_interleaved_operations_match_models(capacity, dim, ops, seed):
             adapted = xbn_transform(stored.vectors, compute_moments(stored), target)
             sim.items = list(zip(map(tuple, adapted.tolist()), sim.labels()))
         elif op == "reference_set":
-            ref = bank.reference_set(batch)
+            ref, referenced = bank.reference_set(batch), batch
             want = _model_batch(sim, dim)
             assert ref.vectors.tobytes() == np.concatenate([want.vectors, batch.vectors]).tobytes()
             np.testing.assert_array_equal(ref.labels, np.concatenate([want.labels, batch.labels]))
+            handed_out.append((ref, ref.vectors.tobytes(), ref.labels.copy()))
         elif op == "failed_step":  # state, adapt, reference set, restore
-            saved = bank.state()
+            state = bank.state()
             if len(bank) >= 2:
                 bank.adapt(target)
             bank.reference_set(batch)
-            bank.restore(saved)
+            bank.restore(state)
+        elif op == "restore":  # to the state before some earlier operation
+            state, items = saved[size % len(saved)]
+            bank.restore(state)
+            sim.items = list(items)
         want = _model_batch(sim, dim)
         assert bank.vectors.tobytes() == want.vectors.tobytes()
         np.testing.assert_array_equal(bank.labels, want.labels)
+    for ref, vectors, labels in handed_out:
+        assert ref.vectors.tobytes() == vectors
+        np.testing.assert_array_equal(ref.labels, labels)
