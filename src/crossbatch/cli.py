@@ -75,7 +75,6 @@ _SETTINGS = {
     "q": ("kalman.q", float),
     "p0": ("kalman.p0", float),
     "r": ("kalman.r", float),
-    "gain_interval": ("kalman.gain_interval", int),
 }
 
 

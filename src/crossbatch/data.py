@@ -7,8 +7,8 @@ rows double as the gallery with self-exclusion.
 
 Binary format "XBNF": magic, version u16, flags u16 (bit 0 set = 64-bit
 floats), u32 row count, u32 feature dim, little-endian row-major features,
-then one u32 label and one u8 split tag per row. A CSV import path
-("f1,...,fD,label" per line) is provided for interoperability.
+then one u32 label and one u8 split tag per row. Any other flag bit is an
+error.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "generate_synthetic",
     "save_features",
     "load_features",
-    "load_csv",
 ]
 
 TAG_TRAIN = 0
@@ -91,15 +90,14 @@ class FeatureDataset:
 
 @dataclass(frozen=True)
 class SyntheticConfig:
-    """Clustered-Gaussian dataset: class centers at scale center_scale, samples
-    spread cluster_std around them. Train and validation class sets are disjoint."""
+    """Clustered-Gaussian dataset: class centers drawn from the standard normal,
+    samples spread cluster_std around them. Train and validation class sets are disjoint."""
 
     train_classes: int = 100
     val_classes: int = 40
     samples_per_class: int = 20
     input_dim: int = 32
     cluster_std: float = 1.0
-    center_scale: float = 1.0
     seed: int = 0
     protocol: str = "single"  # or "query-gallery"
 
@@ -112,8 +110,6 @@ class SyntheticConfig:
             raise InvalidConfig(f"input_dim must be >= 1, got {self.input_dim}")
         if not self.cluster_std > 0:
             raise InvalidConfig(f"cluster_std must be > 0, got {self.cluster_std}")
-        if not self.center_scale > 0:
-            raise InvalidConfig(f"center_scale must be > 0, got {self.center_scale}")
         if self.protocol not in ("single", "query-gallery"):
             raise InvalidConfig(f"protocol must be single or query-gallery, got {self.protocol!r}")
 
@@ -123,7 +119,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> FeatureDataset:
     rng = np.random.default_rng(cfg.seed)
     total_classes = cfg.train_classes + cfg.val_classes
     spc = cfg.samples_per_class
-    centers = rng.normal(0.0, cfg.center_scale, size=(total_classes, cfg.input_dim))
+    centers = rng.normal(0.0, 1.0, size=(total_classes, cfg.input_dim))
     noise = rng.normal(0.0, cfg.cluster_std, size=(total_classes * spc, cfg.input_dim))
     features = np.repeat(centers, spc, axis=0) + noise
     labels = np.repeat(np.arange(total_classes, dtype=np.int64), spc)
@@ -170,7 +166,9 @@ def load_features(path) -> FeatureDataset:
     version, flags, n, input_dim = struct.unpack_from("<HHII", blob, 4)
     if version != VERSION:
         raise FormatError(f"unsupported version {version}", 4)
-    dtype = np.dtype("<f8") if flags & _FLAG_FLOAT64 else np.dtype("<f4")
+    if flags & ~_FLAG_FLOAT64:
+        raise FormatError(f"unknown flags {flags:#x}", 6)
+    dtype = np.dtype("<f8") if flags else np.dtype("<f4")
     feat_bytes = n * input_dim * dtype.itemsize
     expected = header_end + feat_bytes + 4 * n + n
     if len(blob) < expected:
@@ -185,39 +183,3 @@ def load_features(path) -> FeatureDataset:
         features=features, labels=labels.astype(np.int64), splits=splits.copy()
     )
 
-
-def load_csv(path, split_tag: int = TAG_TRAIN) -> FeatureDataset:
-    """Import "f1,...,fD,label" rows; every row receives split_tag.
-
-    Raises FormatError with the byte offset of the offending line.
-    """
-    features: list[list[float]] = []
-    labels: list[int] = []
-    offset = 0
-    width = None
-    with open(path, "rb") as f:
-        for raw in f:
-            line = raw.decode("utf-8").strip()
-            if line:
-                parts = line.split(",")
-                if len(parts) < 2:
-                    raise FormatError("row needs at least one feature and a label", offset)
-                if width is None:
-                    width = len(parts)
-                elif len(parts) != width:
-                    raise FormatError(
-                        f"row has {len(parts)} fields, expected {width}", offset
-                    )
-                try:
-                    features.append([float(v) for v in parts[:-1]])
-                    labels.append(int(parts[-1]))
-                except ValueError:
-                    raise FormatError("unparseable numeric field", offset) from None
-            offset += len(raw)
-    if not features:
-        raise FormatError("no data rows", 0)
-    return FeatureDataset(
-        features=np.asarray(features, dtype=np.float64),
-        labels=np.asarray(labels, dtype=np.int64),
-        splits=np.full(len(labels), split_tag, dtype=np.uint8),
-    )

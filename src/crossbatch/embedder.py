@@ -275,7 +275,7 @@ class Optimizer:
 def save_checkpoint(embedder: MLPEmbedder, path) -> None:
     """Write parameters to a self-describing little-endian binary file.
 
-    Layout: magic "XBNC", version u16, flags u16 (bit 0: 64-bit floats),
+    Layout: magic "XBNC", version u16, flags u16 (1: 64-bit floats, the only value),
     u32 layer-dims count, the dims as u32s, then per layer the weight matrix
     (row-major) followed by the bias vector.
     """
@@ -297,7 +297,8 @@ def load_checkpoint(path) -> MLPEmbedder:
     version, flags, n_dims = struct.unpack_from("<HHI", blob, 4)
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}", 4)
-    dtype = np.dtype("<f8") if flags & _FLAG_FLOAT64 else np.dtype("<f4")
+    if flags != _FLAG_FLOAT64:
+        raise FormatError(f"unsupported checkpoint flags {flags:#x}", 6)
     offset = 12
     if len(blob) < offset + 4 * n_dims:
         raise FormatError("truncated layer dims", len(blob))
@@ -309,11 +310,11 @@ def load_checkpoint(path) -> MLPEmbedder:
     # short file that claims huge layers fails without building them.
     start = offset
     for idx, (fan_in, fan_out) in enumerate(zip(dims, dims[1:])):
-        offset += (fan_in + 1) * fan_out * dtype.itemsize
+        offset += (fan_in + 1) * fan_out * 8
         if len(blob) < offset:
             raise FormatError(f"truncated parameters for layer {idx}", len(blob))
     if offset != len(blob):
         raise FormatError("trailing bytes after parameters", offset)
-    count = (offset - start) // dtype.itemsize
-    params = np.frombuffer(blob, dtype=dtype, count=count, offset=start).astype(np.float64)
+    count = (offset - start) // 8
+    params = np.frombuffer(blob, dtype="<f8", count=count, offset=start).astype(np.float64)
     return MLPEmbedder._from_vector(dims, params)

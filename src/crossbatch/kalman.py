@@ -4,9 +4,8 @@ Per-minibatch moment estimates are treated as noisy observations of slowly
 drifting dataset statistics. One scalar estimation variance p and one gain K
 are shared across all dimensions; the mean and std estimates are filtered
 with the same gain. Measurement noise for a step is r / batch_size, so larger
-batches count as more reliable observations. The gain (and p with it) may be
-recomputed only every gain_interval steps; the innovation updates run every
-step regardless.
+batches count as more reliable observations. Every step recomputes the gain
+and p before moving the estimates.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ class KalmanConfig:
     q: float = 1.0  # process-noise variance
     r: float = 0.01  # base measurement-noise variance, scaled by 1/batch_size per step
     p0: float = 1.0  # initial estimation variance
-    gain_interval: int = 1  # steps between gain recomputations
 
     def __post_init__(self):
         if not 0 < self.q < math.inf:
@@ -45,8 +43,6 @@ class KalmanConfig:
             raise InvalidConfig(f"r must be finite and >= 0, got {self.r}")
         if not 0 < self.p0 < math.inf:
             raise InvalidConfig(f"p0 must be finite and > 0, got {self.p0}")
-        if not isinstance(self.gain_interval, int) or self.gain_interval < 1:
-            raise InvalidConfig(f"gain_interval must be an integer >= 1, got {self.gain_interval}")
 
 
 @dataclass(frozen=True)
@@ -55,7 +51,6 @@ class KalmanState:
     std_est: np.ndarray
     p: float  # estimation variance, shared across dimensions
     gain: float  # in [0, 1]
-    step: int
 
     @property
     def dim(self) -> int:
@@ -72,7 +67,6 @@ def kalman_init(first_obs: MomentStats, config: KalmanConfig) -> KalmanState:
         std_est=np.maximum(EPS_STD, first_obs.std),
         p=config.p0,
         gain=1.0,
-        step=0,
     )
 
 
@@ -94,7 +88,6 @@ def _advance(state: KalmanState, obs: MomentStats, gain: float, p: float) -> Kal
         std_est=np.maximum(EPS_STD, _innovation(state.std_est, obs.std, gain)),
         p=p,
         gain=gain,
-        step=state.step + 1,
     )
 
 
@@ -103,18 +96,15 @@ def kalman_step(
 ) -> KalmanState:
     """One filter update from a minibatch observation.
 
-    On recomputation steps (state.step divisible by gain_interval):
-    p_pred = p + q, gain = p_pred / (p_pred + r / batch_size), p = (1 - gain) * p_pred.
-    Between recomputations both gain and p are frozen. The mean/std innovation
-    updates run every step; std estimates stay floored at EPS_STD.
+    p_pred = p + q, gain = p_pred / (p_pred + r / batch_size), p = (1 - gain) * p_pred;
+    both estimates then move by one innovation at that gain, and the std
+    estimates stay floored at EPS_STD.
     """
     if batch_size < 1:
         raise InvalidConfig(f"batch_size must be >= 1, got {batch_size}")
-    if state.step % config.gain_interval == 0:
-        p_pred = state.p + config.q
-        gain = p_pred / (p_pred + config.r / batch_size)
-        return _advance(state, obs, gain, (1.0 - gain) * p_pred)
-    return _advance(state, obs, state.gain, state.p)
+    p_pred = state.p + config.q
+    gain = p_pred / (p_pred + config.r / batch_size)
+    return _advance(state, obs, gain, (1.0 - gain) * p_pred)
 
 
 def ema_step(state: KalmanState, obs: MomentStats, momentum: float) -> KalmanState:

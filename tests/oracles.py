@@ -41,9 +41,9 @@ def xbn_transform(vectors, source_stats, target_stats) -> np.ndarray:
 def kalman_trace(n_steps: int, q, r_eff, p0) -> list[dict]:
     """The five-equation scalar recursion carried out in exact arithmetic.
 
-    Returns one dict per step with p_pred, gain, and p as Fractions
-    (gain_interval 1; the innovation updates are left to the caller since they
-    depend on the observations).
+    Returns one dict per step with p_pred, gain, and p as Fractions (the
+    innovation updates are left to the caller since they depend on the
+    observations).
     """
     q, r_eff, p0 = Fraction(q), Fraction(r_eff), Fraction(p0)
     p = p0
@@ -57,7 +57,7 @@ def kalman_trace(n_steps: int, q, r_eff, p0) -> list[dict]:
 
 
 def iterate_gain(q: float, r_eff: float, p0: float, n_iters: int) -> float:
-    """Gain after n_iters recursion steps (floating point, gain_interval 1)."""
+    """Gain after n_iters recursion steps (floating point)."""
     p = p0
     gain = float("nan")
     for _ in range(n_iters):

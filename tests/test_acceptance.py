@@ -181,7 +181,7 @@ def test_a2_reduction_identities(capsys):
     worst = {}
 
     # zero measurement noise: the filter copies the batch moments every step
-    cfg = _reduction_config(kalman=KalmanConfig(q=1.0, r=0.0, p0=1.0, gain_interval=1))
+    cfg = _reduction_config(kalman=KalmanConfig(q=1.0, r=0.0, p0=1.0))
     worst["axbn(r=0)=xbn"] = _lockstep_worst_rel(
         TrainingRun(cfg, dataset, MethodVariant("axbn")),
         TrainingRun(cfg, dataset, MethodVariant("xbn")),
@@ -251,7 +251,7 @@ def test_a3_kalman_recursion(capsys):
         MomentStats(mean=rng.uniform(-1.0, 1.0, 4), std=rng.uniform(0.5, 2.0, 4))
         for _ in range(11)
     ]
-    cfg = KalmanConfig(q=1.0, r=1.0, p0=1.0, gain_interval=1)
+    cfg = KalmanConfig(q=1.0, r=1.0, p0=1.0)
     state = kalman_init(obs[0], cfg)
     worst_trace = 0.0
     gains = []
@@ -264,7 +264,7 @@ def test_a3_kalman_recursion(capsys):
     worst_trace = max(worst_trace, float(np.abs(state.mean_est - np.array(oracle_mean)).max()))
 
     # convergence to the closed-form fixed point by step 200
-    cfg2 = KalmanConfig(q=0.05, r=2.0, p0=10.0, gain_interval=1)
+    cfg2 = KalmanConfig(q=0.05, r=2.0, p0=10.0)
     state = kalman_init(obs[0], cfg2)
     for _ in range(200):
         state = kalman_step(state, obs[1], 4, cfg2)

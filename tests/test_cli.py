@@ -74,10 +74,12 @@ class TestConfigFile:
             "epochs": "5", "variant": "xbn", "lr": "2e-4", "dataset": "/data/hash#dir/d.xbnf"
         }
 
-    def test_unknown_key_cites_line(self, tmp_path):
+    # gain_interval was a filter setting; old axbn config.txt files hold it
+    @pytest.mark.parametrize("key", ["bogus", "gain_interval"])
+    def test_unknown_key_cites_line(self, tmp_path, key):
         p = tmp_path / "run.cfg"
-        p.write_text("epochs = 5\nbogus = 1\n")
-        with pytest.raises(InvalidConfig, match=r"run\.cfg:2.*bogus"):
+        p.write_text(f"epochs = 5\n{key} = 1\n")
+        with pytest.raises(InvalidConfig, match=rf"run\.cfg:2.*{key}"):
             read_config_file(p)
 
     def test_missing_equals(self, tmp_path):
@@ -572,7 +574,6 @@ class TestSweep:
             "batch-size", "samples-per-class", "memory-fraction", "memory-capacity", "epochs",
             "warmup-epochs", "embed-dim", "lr", "weight-decay", "schedule-gamma",
             "schedule-every", "warmup-lr", "pos-margin", "neg-margin", "q", "p0", "r",
-            "gain-interval",
         ]
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "--help"])

@@ -16,7 +16,6 @@ from crossbatch import (
     ShapeMismatch,
     SyntheticConfig,
     generate_synthetic,
-    load_csv,
     load_features,
     recall_at_k,
     save_features,
@@ -121,7 +120,7 @@ class TestGenerateSynthetic:
         # with negligible spread, the zero-depth embedder recalls every class
         cfg = SyntheticConfig(
             train_classes=2, val_classes=4, samples_per_class=6, input_dim=8,
-            cluster_std=1e-9, center_scale=1.0, seed=3,
+            cluster_std=1e-9, seed=3,
         )
         ds = generate_synthetic(cfg)
         net = MLPEmbedder((8,))
@@ -140,7 +139,6 @@ class TestGenerateSynthetic:
             {"samples_per_class": 1},
             {"input_dim": 0},
             {"cluster_std": 0.0},
-            {"center_scale": -1.0},
             {"protocol": "both"},
         ],
     )
@@ -207,6 +205,18 @@ class TestBinaryFormat:
             load_features(path)
         assert err.value.offset == 4
 
+    @pytest.mark.parametrize("flags", [0x2, 0x3, 0x8001])
+    def test_undefined_flag_bits(self, tmp_path, flags):
+        ds = generate_synthetic(SMALL)
+        path = tmp_path / "d.xbnf"
+        save_features(ds, path)
+        blob = bytearray(path.read_bytes())
+        blob[6:8] = flags.to_bytes(2, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError) as err:
+            load_features(path)
+        assert err.value.offset == 6
+
     def test_truncated_body(self, tmp_path):
         ds = generate_synthetic(SMALL)
         path = tmp_path / "d.xbnf"
@@ -227,58 +237,3 @@ class TestBinaryFormat:
             load_features(path)
         assert err.value.offset == len(blob)
 
-
-class TestCsvImport:
-    def test_round_trip_against_binary(self, tmp_path):
-        ds = generate_synthetic(SMALL)
-        train = ds.rows(TAG_TRAIN)
-        csv_path = tmp_path / "d.csv"
-        lines = [
-            ",".join(repr(float(v)) for v in ds.features[i]) + f",{ds.labels[i]}"
-            for i in train
-        ]
-        csv_path.write_text("\n".join(lines) + "\n")
-        via_csv = load_csv(csv_path)
-        np.testing.assert_array_equal(via_csv.features, ds.features[train])
-        np.testing.assert_array_equal(via_csv.labels, ds.labels[train])
-        assert (via_csv.splits == TAG_TRAIN).all()
-
-    def test_split_tag_argument(self, tmp_path):
-        p = tmp_path / "q.csv"
-        p.write_text("1.0,2.0,3\n4.0,5.0,3\n")
-        ds = load_csv(p, split_tag=TAG_VAL_QUERY)
-        assert (ds.splits == TAG_VAL_QUERY).all()
-
-    def test_blank_lines_and_whitespace_ok(self, tmp_path):
-        p = tmp_path / "b.csv"
-        p.write_text("1.0,2.0,0\n\n  3.0,4.0,1  \n\n")
-        ds = load_csv(p)
-        assert ds.n == 2
-
-    def test_ragged_row_offset(self, tmp_path):
-        p = tmp_path / "r.csv"
-        first = "1.0,2.0,0\n"
-        p.write_text(first + "3.0,1\n")
-        with pytest.raises(FormatError) as err:
-            load_csv(p)
-        assert err.value.offset == len(first)
-
-    def test_unparseable_field(self, tmp_path):
-        p = tmp_path / "u.csv"
-        p.write_text("1.0,abc,0\n")
-        with pytest.raises(FormatError) as err:
-            load_csv(p)
-        assert err.value.offset == 0
-
-    def test_empty_file(self, tmp_path):
-        p = tmp_path / "e.csv"
-        p.write_text("\n\n")
-        with pytest.raises(FormatError):
-            load_csv(p)
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_non_finite_field(self, tmp_path, value):
-        p = tmp_path / "n.csv"
-        p.write_text(f"1.0,2.0,0\n3.0,{value},1\n")
-        with pytest.raises(NonFiniteInput, match="NaN or infinity"):
-            load_csv(p)

@@ -454,6 +454,18 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("flags", [0x0, 0x8001])
+    def test_flags_other_than_f8_rejected(self, tmp_path, flags):
+        # 0 is the f4 layout, which save_checkpoint never writes
+        path = tmp_path / "net.xbnc"
+        save_checkpoint(tiny_net(seed=4), path)
+        blob = bytearray(path.read_bytes())
+        blob[6:8] = flags.to_bytes(2, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError) as err:
+            load_checkpoint(path)
+        assert err.value.offset == 6
+
     def test_loaded_parameters_are_writable(self, tmp_path):
         path = tmp_path / "net.xbnc"
         save_checkpoint(tiny_net(seed=4), path)

@@ -33,7 +33,7 @@ class TestConfigAndInit:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(p0=0.0), dict(p0=-1.0), dict(q=0.0), dict(r=-0.5), dict(gain_interval=0),
+        [dict(p0=0.0), dict(p0=-1.0), dict(q=0.0), dict(r=-0.5),
          dict(q=np.inf), dict(r=np.inf), dict(p0=np.inf),
          dict(q=np.nan), dict(r=np.nan), dict(p0=np.nan)],
     )
@@ -51,7 +51,6 @@ class TestConfigAndInit:
         np.testing.assert_array_equal(state.std_est, np.ones(3))
         assert state.p == 1.0
         assert state.gain == 1.0  # the estimates are the observation
-        assert state.step == 0
 
     def test_init_is_a_copy(self):
         obs = unit_obs()
@@ -62,7 +61,7 @@ class TestConfigAndInit:
 
 class TestKalmanStep:
     def test_zero_measurement_noise_copies_observation(self):
-        cfg = KalmanConfig(q=1.0, r=0.0, p0=1.0, gain_interval=1)
+        cfg = KalmanConfig(q=1.0, r=0.0, p0=1.0)
         state = kalman_init(unit_obs(), cfg)
         rng = np.random.default_rng(0)
         for _ in range(5):
@@ -75,7 +74,7 @@ class TestKalmanStep:
     def test_hand_trace_first_two_steps(self):
         # q=1, p0=1, effective measurement noise 1:
         # step 1: p_pred=2, gain=2/3, p=2/3; step 2: p_pred=5/3, gain=5/8, p=5/8
-        cfg = KalmanConfig(q=1.0, r=1.0, p0=1.0, gain_interval=1)
+        cfg = KalmanConfig(q=1.0, r=1.0, p0=1.0)
         state = kalman_init(unit_obs(), cfg)
         state = kalman_step(state, unit_obs(), batch_size=1, config=cfg)
         assert state.gain == pytest.approx(2.0 / 3.0, abs=1e-15)
@@ -85,7 +84,7 @@ class TestKalmanStep:
         assert state.p == pytest.approx(5.0 / 8.0, abs=1e-15)
 
     def test_ten_step_trace_matches_exact_recursion(self):
-        cfg = KalmanConfig(q=1.0, r=1.0, p0=1.0, gain_interval=1)
+        cfg = KalmanConfig(q=1.0, r=1.0, p0=1.0)
         trace = kalman_trace(10, q=1, r_eff=1, p0=1)
         rng = np.random.default_rng(42)
         observations = [rng.normal(size=4) for _ in range(11)]
@@ -108,21 +107,6 @@ class TestKalmanStep:
         state = kalman_step(state, obs, batch_size=8, config=cfg)
         np.testing.assert_array_equal(state.mean_est, obs.mean)
         np.testing.assert_array_equal(state.std_est, obs.std)
-
-    def test_gain_frozen_between_recomputations(self):
-        cfg = KalmanConfig(q=1.0, r=0.5, p0=1.0, gain_interval=3)
-        state = kalman_init(unit_obs(1), cfg)
-        rng = np.random.default_rng(1)
-        gains, ps = [], []
-        for _ in range(9):
-            obs = stats(rng.normal(size=1), rng.uniform(0.5, 2.0, size=1))
-            state = kalman_step(state, obs, batch_size=4, config=cfg)
-            gains.append(state.gain)
-            ps.append(state.p)
-        assert gains[0] == gains[1] == gains[2]
-        assert gains[3] == gains[4] == gains[5]
-        assert gains[0] != gains[3]
-        assert ps[0] == ps[1] == ps[2] and ps[3] == ps[4] == ps[5]
 
     def test_dimension_mismatch(self):
         cfg = KalmanConfig()
@@ -161,21 +145,6 @@ class TestEmaStep:
         with pytest.raises(InvalidConfig):
             ema_step(state, unit_obs(), momentum=momentum)
 
-    def test_matches_frozen_gain_kalman_step(self):
-        # an ema update with gain g is a kalman step whose gain is frozen at g
-        from dataclasses import replace
-
-        g = 0.35
-        cfg = KalmanConfig(q=1.0, r=0.5, p0=1.0, gain_interval=10)
-        rng = np.random.default_rng(9)
-        obs = stats(rng.normal(size=4), rng.uniform(0.5, 2.0, size=4))
-        base = kalman_init(unit_obs(4), cfg)
-        frozen = replace(base, gain=g, step=1)  # step 1 mod 10 != 0: no recompute
-        via_kalman = kalman_step(frozen, obs, batch_size=4, config=cfg)
-        via_ema = ema_step(frozen, obs, momentum=1.0 - g)
-        np.testing.assert_array_equal(via_kalman.mean_est, via_ema.mean_est)
-        np.testing.assert_array_equal(via_kalman.std_est, via_ema.std_est)
-
 
 class TestSteadyStateGain:
     def test_zero_noise_gain_one(self):
@@ -193,7 +162,7 @@ class TestSteadyStateGain:
         assert a == pytest.approx(b, abs=1e-10)
 
     def test_gain_sequence_converges_monotonically(self):
-        cfg = KalmanConfig(q=1.0, r=2.0, p0=7.0, gain_interval=1)
+        cfg = KalmanConfig(q=1.0, r=2.0, p0=7.0)
         k_star = steady_state_gain(cfg, batch_size=1)
         state = kalman_init(unit_obs(1), cfg)
         errors = []
@@ -223,18 +192,23 @@ def test_property_estimate_is_convex_combination(momentum, seed):
 
 
 @given(
-    interval=st.integers(min_value=1, max_value=7),
+    q=st.floats(min_value=1e-6, max_value=1e3),
+    r=st.floats(min_value=0.0, max_value=1e3),
+    p0=st.floats(min_value=1e-6, max_value=1e3),
+    batch_size=st.integers(min_value=1, max_value=256),
     n_steps=st.integers(min_value=1, max_value=30),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
-@settings(max_examples=40, deadline=None)
-def test_property_gain_changes_only_on_interval_boundaries(interval, n_steps, seed):
-    cfg = KalmanConfig(q=1.0, r=0.7, p0=2.0, gain_interval=interval)
+@settings(max_examples=60, deadline=None)
+def test_property_every_step_recomputes_gain(q, r, p0, batch_size, n_steps, seed):
+    cfg = KalmanConfig(q=q, r=r, p0=p0)
     rng = np.random.default_rng(seed)
     state = kalman_init(unit_obs(2), cfg)
+    p = p0
     for _ in range(n_steps):
-        before = (state.gain, state.p, state.step)
         obs = stats(rng.normal(size=2), rng.uniform(0.5, 1.5, size=2))
-        state = kalman_step(state, obs, batch_size=3, config=cfg)
-        if before[2] % interval != 0:
-            assert state.gain == before[0] and state.p == before[1]
+        state = kalman_step(state, obs, batch_size=batch_size, config=cfg)
+        p_pred = p + q
+        gain = p_pred / (p_pred + r / batch_size)
+        p = (1.0 - gain) * p_pred
+        assert state.gain == gain and state.p == p

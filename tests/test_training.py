@@ -410,7 +410,7 @@ class TestTrainingLoop:
 
         ref = losses_for(MethodVariant("xbn"))
         exact = losses_for(
-            MethodVariant("axbn"), kalman=KalmanConfig(r=0.0, gain_interval=1)
+            MethodVariant("axbn"), kalman=KalmanConfig(r=0.0)
         )
         frozen = losses_for(MethodVariant("ema", momentum=0.0))
         assert exact == ref
