@@ -96,6 +96,19 @@ class TestConfigFile:
         assert code == 2
         assert "lr must be numeric" in capsys.readouterr().err
 
+    def test_old_axbn_config_exits_at_gain_interval_line(self, tmp_path, data_file, capsys):
+        # config.txt files written while gain_interval was a setting hold it after r
+        assert main(train_argv(data_file, tmp_path / "a", "--variant", "axbn")) == 0
+        lines = (tmp_path / "a" / "axbn" / "0" / "config.txt").read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("r = ")) + 1
+        old = tmp_path / "config.txt"
+        old.write_text("\n".join([*lines[:at], "gain_interval = 1", *lines[at:]]) + "\n")
+        capsys.readouterr()
+        code = main(["train", "--config", str(old), "--out", str(tmp_path / "b")])
+        assert code == 2
+        assert f"config.txt:{at + 1}: unknown key 'gain_interval'" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
     def test_flags_beat_config_file(self, tmp_path, data_file):
         p = tmp_path / "run.cfg"
         p.write_text("epochs = 9\nvariant = xbn\nseed = 7\n")
@@ -144,6 +157,16 @@ class TestSettingsTable:
         with pytest.raises(SystemExit) as exc:  # ema takes its momentum as ema:M
             main(train_argv(data_file, tmp_path, "--variant", "ema:0.3", "--momentum", "0.5"))
         assert exc.value.code == 2
+
+    def test_gain_interval_flag_removed(self, tmp_path, data_file, capsys):
+        # the filter recomputes its gain every step; there is no interval to set
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["train", "--help"])
+        assert "--gain-interval" not in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(train_argv(data_file, tmp_path, "--variant", "axbn", "--gain-interval", "1"))
+        assert exc.value.code == 2
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
         "variant,extra",
@@ -788,6 +811,14 @@ class TestGenData:
         code = main(["gen-data", "--out", str(tmp_path / "d.xbnf"), "--protocol", "both"])
         assert code == 2
         assert "protocol must be single or query-gallery" in capsys.readouterr().err
+
+    def test_center_scale_flag_removed(self, tmp_path):
+        # class centers are always drawn from the standard normal
+        path = tmp_path / "d.xbnf"
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-data", "--out", str(path), *GEN_FLAGS, "--center-scale", "2"])
+        assert exc.value.code == 2
+        assert not path.exists()
 
     def test_dtype_f4(self, tmp_path, capsys):
         path = tmp_path / "small.xbnf"

@@ -145,6 +145,20 @@ class TestEmaStep:
         with pytest.raises(InvalidConfig):
             ema_step(state, unit_obs(), momentum=momentum)
 
+    def test_matches_kalman_step_at_its_gain(self):
+        # q=1, p0=3, r=4, B=1: p_pred=4, gain=1/2 exactly, so ema at momentum 1/2
+        # moves both estimates as the filter step does, and only the filter moves p
+        cfg = KalmanConfig(q=1.0, r=4.0, p0=3.0)
+        rng = np.random.default_rng(9)
+        obs = stats(rng.normal(size=4), rng.uniform(0.5, 2.0, size=4))
+        base = kalman_init(unit_obs(4), cfg)
+        via_kalman = kalman_step(base, obs, batch_size=1, config=cfg)
+        via_ema = ema_step(base, obs, momentum=0.5)
+        assert via_kalman.gain == 0.5 and via_kalman.p == 2.0
+        np.testing.assert_array_equal(via_kalman.mean_est, via_ema.mean_est)
+        np.testing.assert_array_equal(via_kalman.std_est, via_ema.std_est)
+        assert via_ema.p == base.p == 3.0
+
 
 class TestSteadyStateGain:
     def test_zero_noise_gain_one(self):

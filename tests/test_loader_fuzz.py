@@ -91,10 +91,14 @@ def load_bounded(load, path, blob, allowed):
     return loaded
 
 
-def test_valid_files_load(valid_files):
+@pytest.mark.parametrize("name", ["f8", "f4"])
+def test_valid_feature_file_loads(valid_files, name):
     root, blobs = valid_files
-    for name in ("f8", "f4"):
-        assert load_bounded(load_features, root / "x", blobs[name], ()).n == 8
+    assert load_bounded(load_features, root / "x", blobs[name], ()).n == 8
+
+
+def test_valid_checkpoint_loads(valid_files):
+    root, blobs = valid_files
     assert load_bounded(load_checkpoint, root / "x", blobs["net"], ()).layer_dims == NET_DIMS
 
 
