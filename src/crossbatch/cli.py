@@ -24,6 +24,7 @@ import numpy as np
 from .data import FeatureDataset, SyntheticConfig, generate_synthetic, load_features, save_features
 from .embedder import load_checkpoint, save_checkpoint
 from .errors import CrossbatchError, InvalidConfig
+from .retrieval import available_cpus
 from .training import VARIANTS, MethodVariant, TrainConfig, TrainingRun, TrainResult, evaluate
 
 __all__ = ["main", "entrypoint", "read_metrics", "read_csv_rows"]
@@ -327,7 +328,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 cells.append({"settings": cell, "variant": variant, "axis": args.axis,
                               "axis_value": value, "out_dir": str(_run_dir(root, variant, seed))})
 
-    workers = min(args.workers, len(cells), os.cpu_count() or 1)
+    workers = min(args.workers, len(cells), available_cpus())
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # not at module level: ~30 ms per command
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -18,14 +18,16 @@ positive columns only (the gallery is grouped by label once per call), so
 every comparison is between the same floats and the result is a full sort's.
 On galleries up to `_GROUP_WIDTH` columns the misses are counted in groups of
 rows, and the rare row with an equal similarity alone; on wider ones a
-row-by-row count is cheaper. Chunks hold the similarities and gathered
-positives within `_CHUNK_BYTES`, so memory is bounded by that budget, not by
-queries × gallery.
+row-by-row count is cheaper. Chunks (or, where BLAS runs each gemm on one CPU,
+tiles of a core's L2 on a thread per CPU) hold the similarities and gathered
+positives within `_CHUNK_BYTES` in all, so memory is bounded by that budget, not
+by queries × gallery; each runs the same arithmetic on its own query rows.
 """
 
 from __future__ import annotations
 
 import operator
+import os
 
 import numpy as np
 
@@ -39,6 +41,7 @@ __all__ = ["recall_at_k"]
 # one (their indices, values and comparison, all alive at the gather's peak).
 _CHUNK_BYTES = 16 << 20
 _GATHER_BYTES = 32
+_TILE_BYTES = 2 << 20  # the L2 of one core; 0.5-8 MiB tiles are timed in BENCH_23.json
 _GROUP_WIDTH = 1400
 _GROUP_BYTES = 256 << 10
 
@@ -85,24 +88,63 @@ def recall_at_k(
     grouped = gallery.labels[order]
     starts = np.searchsorted(grouped, queries.labels)
     counts = np.searchsorted(grouped, queries.labels, side="right") - starts
-    most = int(counts.max())
-    step = max(1, _CHUNK_BYTES // (8 * gallery.n + _GATHER_BYTES * most))
-    sims = np.empty((min(step, queries.n), gallery.n))
+    row_bytes = 8 * gallery.n + _GATHER_BYTES * int(counts.max())
+    step, workers = _tiles(queries.n, row_bytes)
     ranks = np.full(queries.n, ks[-1])
     gallery_t = np.ascontiguousarray(gallery.vectors.T)
-    for lo in range(0, queries.n, step):
-        hi = min(lo + step, queries.n)
-        block = sims[: hi - lo]
-        np.matmul(queries.vectors[lo:hi], gallery_t, out=block)
-        if single:
-            rows = np.arange(hi - lo)
-            block[rows, lo + rows] = -np.inf
-        top = gallery.labels[np.argmax(block, axis=1)] == queries.labels[lo:hi]
-        ranks[lo:hi][top] = 0
-        miss = np.flatnonzero(~top & (counts[lo:hi] > single))
-        best, first = _best_positives(block, miss, order, starts[lo + miss], counts[lo + miss])
-        ranks[lo + miss] = _ranks_ahead(block, miss, best, first, ks[-1])
+    failed = []
+
+    def rank_tiles(tiles) -> None:
+        try:
+            sims = np.empty((min(step, queries.n), gallery.n))
+            for lo in tiles:
+                if failed:  # another thread raised: stop at this tile
+                    return
+                hi = min(lo + step, queries.n)
+                block = sims[: hi - lo]
+                np.matmul(queries.vectors[lo:hi], gallery_t, out=block)
+                if single:
+                    rows = np.arange(hi - lo)
+                    block[rows, lo + rows] = -np.inf
+                top = gallery.labels[np.argmax(block, axis=1)] == queries.labels[lo:hi]
+                ranks[lo:hi][top] = 0
+                miss = np.flatnonzero(~top & (counts[lo:hi] > single))
+                at = lo + miss
+                best, first = _best_positives(block, miss, order, starts[at], counts[at])
+                ranks[at] = _ranks_ahead(block, miss, best, first, ks[-1])
+        except BaseException as error:  # raised in the caller once every thread has ended
+            failed.append(error)
+
+    tiles, threads = range(0, queries.n, step), []
+    if workers > 1:
+        import threading  # not at module level: about 1 ms, and only tiles need it
+        threads = [threading.Thread(target=rank_tiles, args=(tiles[w::workers],))
+                   for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    rank_tiles(tiles[::workers])
+    for thread in threads:
+        thread.join()
+    if failed:
+        raise failed[0]
     return {k: int(np.count_nonzero(ranks < k)) / queries.n for k in ks}
+
+
+def available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _tiles(n: int, row_bytes: int) -> tuple[int, int]:
+    """Query rows per chunk, and threads for the chunks, for n rows of row_bytes each."""
+    cpus = available_cpus()
+    blas = next((int(v) for v in map(os.environ.get, ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+                 if v and v.isdigit() and int(v) > 0), cpus)  # in the order OpenBLAS reads them
+    step = max(1, _CHUNK_BYTES // row_bytes)
+    if step >= n or min(blas, cpus) > 1:  # one chunk, or BLAS spreads each gemm over CPUs
+        return step, 1
+    step = max(1, _TILE_BYTES // row_bytes)
+    return step, max(1, min(cpus, _CHUNK_BYTES // (step * row_bytes)))
 
 
 def _best_positives(block, rows, order, starts, counts) -> tuple[np.ndarray, np.ndarray]:

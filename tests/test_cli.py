@@ -642,7 +642,7 @@ class TestSweep:
 
     @pytest.mark.parametrize(  # 3 runs; pooled is the pool size, None runs them serially
         "workers,cpus,pooled", [(64, 4, 3), (64, 2, 2), (64, 1, None), (2, 4, 2), (1, 4, None)]
-    )
+    )  # cpus is the affinity mask; the machine's CPU count (64 here) must not raise the cap
     def test_workers_capped_by_runs_and_cpus(
         self, tmp_path, data_file, monkeypatch, workers, cpus, pooled
     ):
@@ -663,7 +663,8 @@ class TestSweep:
 
         # cli imports the pool class from concurrent.futures only when it builds one
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
         assert self.sweep(data_file, tmp_path / "sweep", "--axis", "batch-size",
                           "--values", "6", "--variants", "no-xbm,xbm,xbn", "--seeds", "0",
                           "--workers", str(workers)) == 0

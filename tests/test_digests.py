@@ -1,7 +1,10 @@
 """Byte identity of run outputs, checked against committed digests.
 
 One dataset (`gen-data --seed 801 --cluster-std 1.02`), six train runs, a
-sweep and a drift grid, all run through cli.main. The recipe runs twice, in
+sweep and a drift grid, all run through cli.main, and one eval of the axbn
+checkpoint on 1600 queries x 1600 gallery rows of a second dataset: about 21 MB
+of similarities, over retrieval's 16 MiB chunk budget, so it runs in tiles on
+threads at one BLAS thread and in chunks at two. The recipe runs twice, in
 two subprocesses with one and with two BLAS threads, and the first 16 hex
 digits of each output's SHA-256 must equal DIGESTS in both. config.txt is left
 out: it holds the dataset's absolute path.
@@ -12,7 +15,9 @@ digests belong to one numpy/BLAS stack (STACK); on another the test skips and
 says which stack it found.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -36,6 +41,8 @@ GRIDS = {
     "drift": ["drift", "--variants", "no-xbm,ema:0.5", "--seed", "5", "--warmup-epochs", "1",
               "--epochs", "1", "--lr", "2e-3"],
 }
+EVAL_DATA = ["--protocol", "query-gallery", "--val-classes", "80", "--samples-per-class", "40",
+             "--seed", "801", "--cluster-std", "1.02"]
 RUN_FILES = ("checkpoint.xbnc", "metrics.jsonl", "summary.csv")
 GRID_FILES = ("sweep_runs.csv", "sweep_summary.csv", "drift.csv")
 
@@ -50,6 +57,8 @@ DIGESTS = {
     # grids: sweep_runs.csv / sweep_summary.csv / drift.csv
     "sweep": ("38313beab30a8e85", "1fe7e27081ce5d23", "074eb873c9b0e83e"),
     "drift": ("fccf6b24ce175711", "b4849f8d5ef84acd", "d3aab80e75e9b419"),
+    # eval of the axbn checkpoint on the EVAL_DATA dataset: stdout
+    "eval": ("6a23ffbe7ac5e0ad",),
 }
 
 
@@ -71,7 +80,7 @@ def _observe(root: Path) -> dict:
     data = str(root / "data.xbnf")
     assert main(["gen-data", "--out", data, "--seed", "801", "--cluster-std", "1.02"]) == 0
     observed = {}
-    for spec in [name for name in DIGESTS if name not in GRIDS]:
+    for spec in [name for name in DIGESTS if name not in GRIDS and name != "eval"]:
         out = root / "train"
         assert main(["train", "--dataset", data, "--out", str(out), "--variant", spec, *TRAIN]) == 0
         observed[spec] = _digests(out / str(MethodVariant.parse(spec)) / "3", RUN_FILES)
@@ -79,6 +88,13 @@ def _observe(root: Path) -> dict:
         out = root / name
         assert main([*argv, "--dataset", data, "--out", str(out)]) == 0
         observed[name] = _digests(out, GRID_FILES)
+    eval_data = str(root / "eval.xbnf")
+    assert main(["gen-data", "--out", eval_data, *EVAL_DATA]) == 0
+    checkpoint = root / "train" / "axbn" / "3" / "checkpoint.xbnc"
+    with contextlib.redirect_stdout(io.StringIO()) as printed:
+        assert main(["eval", "--checkpoint", str(checkpoint), "--dataset", eval_data,
+                     "--recall-ks", "1,2,4,8,16,32,64"]) == 0
+    observed["eval"] = (hashlib.sha256(printed.getvalue().encode()).hexdigest()[:16],)
     return observed
 
 

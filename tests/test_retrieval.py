@@ -1,3 +1,7 @@
+import itertools
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -213,6 +217,13 @@ def test_property_exact_on_ties(seed, n, m, dim, n_classes):
         assert recall_at_k(q, gallery, ks) == expected
 
 
+def pin_chunk_budget(monkeypatch, budget):
+    """Chunks of budget bytes on the calling thread, whatever the BLAS thread setting: a call
+    over budget that would go in tiles gets tiles of the same size, one at a time."""
+    monkeypatch.setattr(retrieval, "_CHUNK_BYTES", budget)
+    monkeypatch.setattr(retrieval, "_TILE_BYTES", budget)
+
+
 class TestChunking:
     @pytest.mark.parametrize("rows", [1, 3])
     @pytest.mark.parametrize("single", [True, False])
@@ -228,7 +239,7 @@ class TestChunking:
         # query gathers), so every chunk but the last has exactly rows rows
         most = max(np.count_nonzero(g.labels == label) for label in q.labels)
         budget = rows * (8 * g.n + retrieval._GATHER_BYTES * most)
-        monkeypatch.setattr(retrieval, "_CHUNK_BYTES", budget)
+        pin_chunk_budget(monkeypatch, budget)
         sizes = []
         real = retrieval._best_positives
 
@@ -257,19 +268,36 @@ class TestChunking:
         assert peak < 4000 * 4000 * 8 / 2
 
     @pytest.mark.parametrize("n_classes", [400, 2, 1])
-    def test_peak_memory_within_the_chunk_budget(self, n_classes):
+    def test_peak_memory_within_the_chunk_budget(self, monkeypatch, n_classes):
         # similarities plus the positives gathered for rows whose top candidate
         # is a negative stay inside the one budget; a one-class gallery gives
         # every query 4000 positive columns, two classes make half the rows miss
+        peak, threads = self.peak_at_4000_squared(monkeypatch, n_classes, blas_threads="2")
+        assert peak < 1.5 * retrieval._CHUNK_BYTES
+        assert len(threads) == 1
+
+    @pytest.mark.parametrize("n_classes", [400, 2, 1])
+    def test_peak_memory_within_the_chunk_budget_on_threads(self, monkeypatch, n_classes):
+        # the same in tiles, on as many threads as the budget holds tiles
+        peak, threads = self.peak_at_4000_squared(monkeypatch, n_classes, blas_threads="1")
+        assert peak < 1.5 * retrieval._CHUNK_BYTES
+        assert len(threads) > 1
+
+    @staticmethod
+    def peak_at_4000_squared(monkeypatch, n_classes, blas_threads):
+        """tracemalloc's peak over one 4000 x 4000 call on 64 CPUs, and the threads that ran."""
+        monkeypatch.setattr(retrieval, "available_cpus", lambda: 64)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
         q = batch(4000, 16, seed=0, n_classes=n_classes)
         g = batch(4000, 16, seed=1, n_classes=n_classes)
+        threads = record_tile_threads(monkeypatch)
         tracemalloc.start()
         try:
             recall_at_k(q, g, (1, 10))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * retrieval._CHUNK_BYTES
+        return peak, threads
 
 
 def assert_matches_oracle(q, g, ks):
@@ -388,7 +416,7 @@ class TestEdgeCases:
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
         q = EmbeddingBatch(vectors=vectors[:30], labels=labels[:30])
         g = q if single else EmbeddingBatch(vectors=vectors[30:], labels=labels[30:])
-        monkeypatch.setattr(retrieval, "_CHUNK_BYTES", budget)
+        pin_chunk_budget(monkeypatch, budget)
         out = assert_matches_oracle(q, g, (1, 2, 5, 10))
         assert (out[1] > 0.9) if mostly == "hit" else (out[1] < 0.5)
 
@@ -438,5 +466,139 @@ def test_rank_paths_exact_on_ties(monkeypatch, path, chunk_rows):
             if not ks:
                 continue
             if chunk_rows is not None:
-                monkeypatch.setattr(retrieval, "_CHUNK_BYTES", chunk_rows * 8 * g.n)
+                pin_chunk_budget(monkeypatch, chunk_rows * 8 * g.n)
             assert_matches_oracle(q, g, ks)
+
+
+def record_tile_threads(monkeypatch):
+    """The set of threads that rank tiles in the calls that follow."""
+    seen = set()
+    real = retrieval._best_positives
+
+    def recording(*args):
+        seen.add(threading.get_ident())
+        return real(*args)
+
+    monkeypatch.setattr(retrieval, "_best_positives", recording)
+    return seen
+
+
+class TestTiles:
+    """Calls over the chunk budget where BLAS runs each gemm on one CPU: tiles on threads."""
+
+    ROW = 8 * 100 + retrieval._GATHER_BYTES * 10  # a 100-column gallery, 10 positives at most
+
+    @pytest.mark.parametrize(
+        "env,cpus,tiled",
+        [
+            ({}, 2, False),  # BLAS takes every CPU
+            ({}, 1, True),
+            ({"OPENBLAS_NUM_THREADS": "1"}, 4, True),
+            ({"OPENBLAS_NUM_THREADS": "2"}, 4, False),
+            ({"OMP_NUM_THREADS": "1"}, 4, True),
+            ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, False),  # OpenBLAS's order
+            ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 4, True),  # 0 is unset
+            ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "2"}, 4, False),
+            ({"OPENBLAS_NUM_THREADS": "4"}, 1, True),  # at most one BLAS thread per CPU
+        ],
+    )
+    def test_tiles_where_blas_runs_one_thread(self, monkeypatch, env, cpus, tiled):
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        monkeypatch.setattr(retrieval, "available_cpus", lambda: cpus)
+        chunk_rows = retrieval._CHUNK_BYTES // self.ROW
+        # within the budget: one chunk on the calling thread, tiled or not
+        assert retrieval._tiles(chunk_rows, self.ROW) == (chunk_rows, 1)
+        tile_rows = retrieval._TILE_BYTES // self.ROW
+        expected = (tile_rows, cpus) if tiled else (chunk_rows, 1)
+        assert retrieval._tiles(chunk_rows + 1, self.ROW) == expected
+
+    def test_threads_capped_by_the_chunk_budget(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(retrieval, "available_cpus", lambda: 64)
+        step, workers = retrieval._tiles(10**6, self.ROW)
+        assert workers == retrieval._CHUNK_BYTES // (step * self.ROW) == 8
+        # a row wider than a tile is a tile of its own
+        row = retrieval._TILE_BYTES + 1
+        assert retrieval._tiles(10**6, row) == (1, retrieval._CHUNK_BYTES // row)
+
+    def test_available_cpus_follow_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(retrieval.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        monkeypatch.setattr(retrieval.os, "cpu_count", lambda: 8)
+        assert retrieval.available_cpus() == 1
+        monkeypatch.delattr(retrieval.os, "sched_getaffinity", raising=False)
+        assert retrieval.available_cpus() == 8
+        monkeypatch.setattr(retrieval.os, "cpu_count", lambda: None)
+        assert retrieval.available_cpus() == 1
+
+    @pytest.mark.parametrize("rows", [1, 2, 5])
+    def test_tiles_on_threads_match_one_chunk_and_the_oracle(self, monkeypatch, rows):
+        # three threads on tiles of a few rows: random and tie-heavy sets in both
+        # protocols, one-class galleries, row counts off the tile size, and sets
+        # of fewer tiles than threads
+        rng = np.random.default_rng(2300 + rows)
+        cases = []  # (queries, gallery, every k the gallery allows), with one k at least
+        for _ in range(30):
+            n, m = int(rng.integers(2, 40)), int(rng.integers(2, 40))
+            dim, n_classes = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            if rng.random() < 0.5:
+                q, g = quarter_grid_batch(rng, n, dim, n_classes), quarter_grid_batch(
+                    rng, m, dim, n_classes)
+            else:
+                seed = int(rng.integers(10**6))
+                q, g = batch(n, dim, seed, n_classes), batch(m, dim, seed + 1, n_classes)
+            for gallery in (g, q):
+                effective = gallery.n - (gallery is q)
+                if effective > 1:
+                    cases.append((q, gallery, tuple(range(1, effective))))
+        serial = [recall_at_k(q, g, ks) for q, g, ks in cases]
+        monkeypatch.setattr(retrieval, "_tiles", lambda n, row_bytes: (rows, 3))
+        threads = record_tile_threads(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads trade the interpreter at every chance
+        try:
+            tiled = [recall_at_k(q, g, ks) for q, g, ks in cases]
+        finally:
+            sys.setswitchinterval(interval)
+        assert tiled == serial
+        assert tiled == [naive_recall(q.vectors, q.labels, g.vectors, g.labels, ks,
+                                      exclude_self=g is q) for q, g, ks in cases]
+        assert len(threads) >= 3  # the caller and two threads per call; idents may recur
+
+    def test_an_exception_in_a_tile_stops_every_thread_and_reaches_the_caller(self, monkeypatch):
+        q = batch(300, 4, seed=5, n_classes=3)
+        monkeypatch.setattr(retrieval, "_tiles", lambda n, row_bytes: (2, 3))  # 150 tiles
+        real = retrieval._best_positives
+        calls, after = itertools.count(), []
+
+        def failing(*args):
+            call = next(calls)
+            if call == 10:
+                raise RuntimeError("tile failed")
+            if call > 10:
+                time.sleep(0.01)  # time for the failure to be recorded
+                after.append(call)
+            return real(*args)
+
+        monkeypatch.setattr(retrieval, "_best_positives", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="tile failed"):
+            recall_at_k(q, q, (1, 5))
+        assert threading.active_count() == before
+        # each other thread finishes at most the tile it was ranking
+        assert len(after) <= 2
+
+    def test_a_desk_validation_starts_no_thread(self, monkeypatch):
+        # 800 x 800 single-set similarities are about 5 MB, within the budget:
+        # one chunk on the calling thread, even where tiles would go on 64 threads
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(retrieval, "available_cpus", lambda: 64)
+
+        def refuse(self):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        b = batch(800, 16, seed=9, n_classes=40)
+        recall_at_k(b, b, (1, 10))
