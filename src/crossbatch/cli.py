@@ -1,7 +1,8 @@
 """Experiment command line: train, sweep, drift, eval, gen-data.
 
 Configuration comes from a flat key=value file plus flag overrides (flags
-win); every run echoes its fully resolved config into its output directory.
+win); the keys, and the flags spelled with dashes, are TrainConfig's fields.
+Every run echoes its fully resolved config into its output directory.
 Results are line-delimited JSON metric records and CSV summaries, all
 parseable by the readers in this module. Exit code 0 means every requested
 run completed without a non-finite loss.
@@ -16,7 +17,7 @@ import os
 import re
 import sys
 from dataclasses import fields, replace
-from functools import cache, reduce
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ import numpy as np
 from .data import FeatureDataset, SyntheticConfig, generate_synthetic, load_features, save_features
 from .embedder import load_checkpoint, save_checkpoint
 from .errors import CrossbatchError, InvalidConfig
+from .kalman import KalmanConfig
 from .retrieval import available_cpus
 from .training import VARIANTS, MethodVariant, TrainConfig, TrainingRun, TrainResult, evaluate
 
@@ -50,33 +52,15 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(text)
 
 
-# Every training setting, declared once: its config-file key (the flag is the
-# key with dashes), its TrainConfig attribute path and the parser of its text.
-# Defaults are TrainConfig()'s. kalman.* settings apply only to variants that
-# run the kalman filter.
+# Every training setting: a TrainConfig field, its config-file key (the flag
+# is the key with dashes) and the parser its default's type picks. Defaults are
+# TrainConfig()'s. KalmanConfig's settings apply only to variants that run the
+# kalman filter.
 _SETTINGS = {
-    "batch_size": ("batch_size", int),
-    "samples_per_class": ("samples_per_class", int),
-    "memory_fraction": ("memory_fraction", float),
-    "memory_capacity": ("memory_capacity", int),
-    "epochs": ("epochs", int),
-    "warmup_epochs": ("warmup_epochs", int),
-    "hidden_dims": ("hidden_dims", _parse_int_tuple),
-    "embed_dim": ("embed_dim", int),
-    "lr": ("main_optimizer.learning_rate", float),
-    "weight_decay": ("main_optimizer.weight_decay", float),
-    "schedule_gamma": ("main_optimizer.schedule_gamma", float),
-    "schedule_every": ("main_optimizer.schedule_every", int),
-    "warmup_lr": ("warmup_optimizer.learning_rate", float),
-    "pos_margin": ("miner.pos_margin", float),
-    "neg_margin": ("miner.neg_margin", float),
-    "recall_ks": ("recall_ks", _parse_int_tuple),
-    "probe_drift": ("probe_drift", _parse_bool),
-    "seed": ("seed", int),
-    "q": ("kalman.q", float),
-    "p0": ("kalman.p0", float),
-    "r": ("kalman.r", float),
+    f.name: {tuple: _parse_int_tuple, bool: _parse_bool}.get(type(f.default), type(f.default))
+    for f in fields(TrainConfig)
 }
+_KALMAN_SETTINGS = {f.name for f in fields(KalmanConfig)}
 
 
 def default_out_root() -> Path:
@@ -105,7 +89,7 @@ def _parse_config(text: str, path) -> dict[str, str]:
 
 
 def _coerce(key: str, text: str):
-    parse = _SETTINGS[key][1]
+    parse = _SETTINGS[key]
     try:
         return parse(text)
     except ValueError:
@@ -139,19 +123,12 @@ def resolve_settings(args: argparse.Namespace) -> dict:
 
 def build_train_config(settings: dict) -> TrainConfig:
     """TrainConfig() with the settings that are not None replaced."""
-    changes: dict[str, dict] = {}
-    for key, (path, _) in _SETTINGS.items():
-        if settings.get(key) is not None:
-            section, _, attr = path.rpartition(".")
-            changes.setdefault(section, {})[attr] = settings[key]
-    config = TrainConfig()
-    nested = {name: replace(getattr(config, name), **kw) for name, kw in changes.items() if name}
-    return replace(config, **changes.get("", {}), **nested)
+    return TrainConfig(**{k: settings[k] for k in _SETTINGS if settings.get(k) is not None})
 
 
 def _applies(key: str, variant: MethodVariant) -> bool:
-    """kalman.* settings apply only to variants whose filter is the kalman filter."""
-    return not _SETTINGS[key][0].startswith("kalman.") or variant.stats_filter == "kalman"
+    """KalmanConfig's settings apply only to variants whose filter is the kalman filter."""
+    return key not in _KALMAN_SETTINGS or variant.stats_filter == "kalman"
 
 
 def build_variant(settings: dict) -> MethodVariant:
@@ -178,10 +155,9 @@ def _config_text(config: TrainConfig, variant: MethodVariant, dataset) -> str:
     """The resolved settings, as a config file that replays the run from any directory."""
     dataset = os.path.abspath(dataset)
     values = {"variant": variant.spec, "dataset": dataset}
-    for key, (attr_path, _) in _SETTINGS.items():
-        value = reduce(getattr, attr_path.split("."), config)
-        if value is not None and _applies(key, variant):
-            values[key] = _format(value)
+    for key in _SETTINGS:
+        if _applies(key, variant):
+            values[key] = _format(getattr(config, key))
     text = "".join(f"{key} = {value}\n" for key, value in values.items())
     if _parse_config(text, "config.txt") != values:
         raise InvalidConfig(f"dataset path {dataset!r} cannot be written to a config file")
@@ -323,8 +299,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for variant in variants:
             for seed in seeds:
                 cell = {**settings, key: value, "seed": seed}  # key None is ignored
-                if key == "memory_fraction":
-                    cell["memory_capacity"] = None  # the swept fraction must win
                 cells.append({"settings": cell, "variant": variant, "axis": args.axis,
                               "axis_value": value, "out_dir": str(_run_dir(root, variant, seed))})
 
@@ -406,10 +380,8 @@ def _run_flags() -> argparse.ArgumentParser:
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--dataset", help="XBNF feature file")
     p.add_argument("--out", help=f"output root (default ${OUT_ENV_VAR} or ./runs)")
-    config = TrainConfig()
-    for key, (path, _) in _SETTINGS.items():
-        default = reduce(getattr, path.split("."), config)
-        text = f"TrainConfig.{path}, default {'unset' if default is None else _format(default)}"
+    for key in _SETTINGS:
+        text = f"TrainConfig.{key}, default {_format(getattr(TrainConfig, key))}"
         if key == "probe_drift":
             p.add_argument("--no-drift", dest=key, action="store_const", const="false", help=text)
         else:
@@ -432,7 +404,7 @@ def _add_train(sub, run_flags) -> None:
 def _add_sweep(sub, run_flags) -> None:
     p = _run_parser(sub, run_flags, "sweep", "grid of runs over one axis x variants x seeds",
                     func=cmd_sweep)
-    axes = [k.replace("_", "-") for k, (_, parse) in _SETTINGS.items()
+    axes = [k.replace("_", "-") for k, parse in _SETTINGS.items()
             if parse in (int, float) and k != "seed"]
     p.add_argument("--axis", required=True, choices=axes, help="the scalar setting to vary")
     p.add_argument("--values", required=True, help="comma-separated axis values")

@@ -9,7 +9,7 @@ different variants see identical batch sequences and initial parameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,27 +104,34 @@ class MethodVariant:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """A run's settings, one field each: the config-file keys, and with dashes the flags.
+
+    Building it checks every setting and builds the parts TrainingRun reads:
+    main_optimizer (AdamW from lr, weight_decay and the schedule),
+    warmup_optimizer (SGD at warmup_lr), kalman (q, r, p0) and miner (the
+    margins). They are attributes, not fields, so they always match the fields.
+    """
+
     batch_size: int = 16
     samples_per_class: int = 4
-    memory_fraction: float | None = 0.5
-    memory_capacity: int | None = None  # absolute capacity; overrides the fraction
+    memory_fraction: float = 0.5  # bank capacity as a share of the train rows
     epochs: int = 25  # main-stage epochs
     warmup_epochs: int = 2
     hidden_dims: tuple[int, ...] = (64, 32)
     embed_dim: int = 16
-    warmup_optimizer: OptimizerConfig = field(
-        default_factory=lambda: OptimizerConfig(kind="sgd", learning_rate=1e-3)
-    )
-    main_optimizer: OptimizerConfig = field(
-        default_factory=lambda: OptimizerConfig(
-            kind="adamw", learning_rate=1e-4, schedule_gamma=0.33, schedule_every=15
-        )
-    )
-    kalman: KalmanConfig = field(default_factory=KalmanConfig)
-    miner: PairMinerConfig = field(default_factory=PairMinerConfig)
-    probe_drift: bool = True
+    lr: float = 1e-4  # main stage
+    weight_decay: float = OptimizerConfig.weight_decay
+    schedule_gamma: float = 0.33
+    schedule_every: int = 15
+    warmup_lr: float = 1e-3
+    pos_margin: float = PairMinerConfig.pos_margin
+    neg_margin: float = PairMinerConfig.neg_margin
     recall_ks: tuple[int, ...] = (1, 10)
+    probe_drift: bool = True
     seed: int = 0
+    q: float = KalmanConfig.q
+    p0: float = KalmanConfig.p0
+    r: float = KalmanConfig.r
 
     def __post_init__(self):
         if self.batch_size < 2:
@@ -132,11 +139,7 @@ class TrainConfig:
         _classes_per_batch(self.batch_size, self.samples_per_class)
         if self.epochs < 0 or self.warmup_epochs < 0:
             raise InvalidConfig("epoch counts must be >= 0")
-        if self.memory_capacity is None and self.memory_fraction is None:
-            raise InvalidConfig("set memory_capacity or memory_fraction")
-        if self.memory_capacity is not None and self.memory_capacity < 0:
-            raise InvalidConfig(f"memory_capacity must be >= 0, got {self.memory_capacity}")
-        if self.memory_capacity is None and not 0.0 <= self.memory_fraction <= 1.0:
+        if not 0.0 <= self.memory_fraction <= 1.0:
             raise InvalidConfig(f"memory_fraction must be in [0, 1], got {self.memory_fraction}")
         if self.embed_dim < 1:
             raise InvalidConfig(f"embed_dim must be >= 1, got {self.embed_dim}")
@@ -145,10 +148,13 @@ class TrainConfig:
         if _check_k_values(self.recall_ks)[0] != 1:
             # run() picks the best epoch by R@1
             raise InvalidConfig(f"recall_ks must start with 1, got {self.recall_ks}")
+        object.__setattr__(self, "main_optimizer", OptimizerConfig(
+            "adamw", self.lr, self.weight_decay, self.schedule_gamma, self.schedule_every))
+        object.__setattr__(self, "warmup_optimizer", OptimizerConfig("sgd", self.warmup_lr))
+        object.__setattr__(self, "kalman", KalmanConfig(q=self.q, r=self.r, p0=self.p0))
+        object.__setattr__(self, "miner", PairMinerConfig(self.pos_margin, self.neg_margin))
 
     def resolve_capacity(self, train_size: int) -> int:
-        if self.memory_capacity is not None:
-            return self.memory_capacity
         return int(round(self.memory_fraction * train_size))
 
 

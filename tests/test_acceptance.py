@@ -10,7 +10,6 @@ process per CPU.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import sys
 import time
 import warnings
@@ -31,7 +30,6 @@ from crossbatch import (
     MemoryBank,
     MethodVariant,
     MomentStats,
-    OptimizerConfig,
     PairMinerConfig,
     SyntheticConfig,
     TrainConfig,
@@ -51,6 +49,7 @@ from crossbatch import (
     triplet_loss,
     xbm_loss,
 )
+from crossbatch.retrieval import available_cpus
 from oracles import (
     brute_force_pairs,
     brute_force_triplet,
@@ -181,7 +180,7 @@ def test_a2_reduction_identities(capsys):
     worst = {}
 
     # zero measurement noise: the filter copies the batch moments every step
-    cfg = _reduction_config(kalman=KalmanConfig(q=1.0, r=0.0, p0=1.0))
+    cfg = _reduction_config(q=1.0, r=0.0, p0=1.0)
     worst["axbn(r=0)=xbn"] = _lockstep_worst_rel(
         TrainingRun(cfg, dataset, MethodVariant("axbn")),
         TrainingRun(cfg, dataset, MethodVariant("xbn")),
@@ -195,7 +194,7 @@ def test_a2_reduction_identities(capsys):
         n_steps,
     )
 
-    cfg = _reduction_config(memory_capacity=0)
+    cfg = _reduction_config(memory_fraction=0.0)
     worst["xbm(cap=0)=no-xbm"] = _lockstep_worst_rel(
         TrainingRun(cfg, dataset, MethodVariant("xbm")),
         TrainingRun(cfg, dataset, MethodVariant("no-xbm")),
@@ -447,7 +446,9 @@ def _desk_run(dataset, cell):
     cfg = TrainConfig(
         batch_size=batch_size,
         seed=seed,
-        main_optimizer=OptimizerConfig(kind="adamw", learning_rate=DESK_LR),
+        lr=DESK_LR,
+        schedule_gamma=1.0,  # the desk runs train at a constant lr
+        schedule_every=0,
     )
     t0 = time.perf_counter()
     result = TrainingRun(cfg, dataset, MethodVariant(kind)).run()
@@ -458,7 +459,8 @@ def _desk_run(dataset, cell):
 @pytest.fixture(scope="module")
 def desk_matrix():
     # Each run is a pure function of its config, so the 27 runs go to one
-    # spawned worker per CPU, each with one BLAS thread; the longest (B8) first.
+    # spawned worker per CPU the process may use (its affinity mask, as the
+    # program counts them), each with one BLAS thread; the longest (B8) first.
     dataset = generate_synthetic(SyntheticConfig(cluster_std=DESK_STD, seed=0))
     cells = {
         8: ("xbm", "xbn", "axbn"),
@@ -470,7 +472,7 @@ def desk_matrix():
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             env.setenv(var, "1")  # read by each worker when it loads numpy
         with ProcessPoolExecutor(
-            max_workers=min(os.cpu_count() or 1, len(runs)),
+            max_workers=min(available_cpus(), len(runs)),
             mp_context=multiprocessing.get_context("spawn"),
             initializer=_desk_worker_init,
         ) as pool:

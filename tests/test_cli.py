@@ -3,6 +3,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,14 @@ def data_file(tmp_path_factory):
     return path
 
 
+# TrainConfig's fields: the config keys, and in this order the run flags
+SETTINGS = [
+    "batch_size", "samples_per_class", "memory_fraction", "epochs", "warmup_epochs",
+    "hidden_dims", "embed_dim", "lr", "weight_decay", "schedule_gamma", "schedule_every",
+    "warmup_lr", "pos_margin", "neg_margin", "recall_ks", "probe_drift", "seed", "q", "p0", "r",
+]
+
+
 def train_argv(data_file, out_dir, *extra):
     return [
         "train", "--dataset", str(data_file), "--out", str(out_dir), *FAST, *extra
@@ -88,25 +97,36 @@ class TestConfigFile:
         with pytest.raises(InvalidConfig, match="key=value"):
             read_config_file(p)
 
-    def test_non_numeric_value_exits_cleanly(self, tmp_path, data_file, capsys):
+    @pytest.mark.parametrize("line,needle", [
+        ("lr = fast", "lr must be numeric, got 'fast'"),
+        ("probe_drift = maybe", "probe_drift must be a boolean, got 'maybe'"),
+    ])
+    def test_unparsable_value_exits_cleanly(self, tmp_path, data_file, capsys, line, needle):
         p = tmp_path / "run.cfg"
-        p.write_text("lr = fast\n")
+        p.write_text(line + "\n")
         code = main(train_argv(data_file, tmp_path / "out", "--variant", "xbn",
                                "--config", str(p)))
         assert code == 2
-        assert "lr must be numeric" in capsys.readouterr().err
+        assert needle in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
-    def test_old_axbn_config_exits_at_gain_interval_line(self, tmp_path, data_file, capsys):
-        # config.txt files written while gain_interval was a setting hold it after r
-        assert main(train_argv(data_file, tmp_path / "a", "--variant", "axbn")) == 0
-        lines = (tmp_path / "a" / "axbn" / "0" / "config.txt").read_text().splitlines()
-        at = next(i for i, line in enumerate(lines) if line.startswith("r = ")) + 1
+    # config.txt files written while gain_interval was a setting hold it after r,
+    # and those of a run sized by memory_capacity hold it after memory_fraction
+    @pytest.mark.parametrize("variant,after,key", [
+        ("axbn", "r", "gain_interval"),
+        ("xbm", "memory_fraction", "memory_capacity"),
+    ])
+    def test_old_config_exits_at_removed_key_line(self, tmp_path, data_file, capsys,
+                                                  variant, after, key):
+        assert main(train_argv(data_file, tmp_path / "a", "--variant", variant)) == 0
+        lines = (tmp_path / "a" / variant / "0" / "config.txt").read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith(f"{after} = ")) + 1
         old = tmp_path / "config.txt"
-        old.write_text("\n".join([*lines[:at], "gain_interval = 1", *lines[at:]]) + "\n")
+        old.write_text("\n".join([*lines[:at], f"{key} = 12", *lines[at:]]) + "\n")
         capsys.readouterr()
         code = main(["train", "--config", str(old), "--out", str(tmp_path / "b")])
         assert code == 2
-        assert f"config.txt:{at + 1}: unknown key 'gain_interval'" in capsys.readouterr().err
+        assert f"config.txt:{at + 1}: unknown key '{key}'" in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
 
     def test_flags_beat_config_file(self, tmp_path, data_file):
@@ -129,13 +149,41 @@ class TestSettingsTable:
         args = build_parser().parse_args(["train"])
         assert build_train_config(resolve_settings(args)) == TrainConfig()
 
+    def test_defaults_have_the_annotated_type(self):
+        # the settings table picks each parser by the type of the field's default
+        hints = typing.get_type_hints(TrainConfig)
+        assert list(cli._SETTINGS) == SETTINGS
+        for f in dataclasses.fields(TrainConfig):
+            hint = hints[f.name]
+            assert hint in (int, float, bool, tuple[int, ...]), f.name
+            assert type(f.default) is (typing.get_origin(hint) or hint), f.name
+            if hint == tuple[int, ...]:
+                assert all(type(v) is int for v in f.default), f.name
+
+    def test_every_setting_round_trips_through_config_txt(self, tmp_path):
+        config = TrainConfig(
+            batch_size=12, samples_per_class=3, memory_fraction=0.25, epochs=3,
+            warmup_epochs=1, hidden_dims=(8, 4), embed_dim=5, lr=3e-3, weight_decay=0.01,
+            schedule_gamma=0.5, schedule_every=2, warmup_lr=0.02, pos_margin=0.1,
+            neg_margin=0.9, recall_ks=(1, 2, 4), probe_drift=False, seed=9, q=2.0, p0=0.5,
+            r=0.125,
+        )
+        assert all(getattr(config, f.name) != f.default for f in dataclasses.fields(config))
+        path = tmp_path / "config.txt"
+        path.write_text(cli._config_text(config, MethodVariant("axbn"), tmp_path / "d.xbnf"))
+        args = build_parser().parse_args(["train", "--config", str(path)])
+        assert build_train_config(resolve_settings(args)) == config
+
     def test_help_lists_every_setting(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["train", "--help"])
         text = capsys.readouterr().out
-        for key in cli._SETTINGS:
-            flag = "--no-drift" if key == "probe_drift" else "--" + key.replace("_", "-")
-            assert flag in text, key
+        flags = ["--no-drift" if key == "probe_drift" else "--" + key.replace("_", "-")
+                 for key in SETTINGS]
+        at = [text.index(f"\n  {flag} ") for flag in flags]  # the flag's line of the listing
+        assert at == sorted(at)
+        for key in SETTINGS:
+            assert f"TrainConfig.{key}, default " in text, key
 
     def test_train_sweep_and_drift_share_the_run_flags(self):
         sub = next(a for a in build_parser()._actions if a.dest == "command")
@@ -158,13 +206,16 @@ class TestSettingsTable:
             main(train_argv(data_file, tmp_path, "--variant", "ema:0.3", "--momentum", "0.5"))
         assert exc.value.code == 2
 
-    def test_gain_interval_flag_removed(self, tmp_path, data_file, capsys):
-        # the filter recomputes its gain every step; there is no interval to set
+    # the filter recomputes its gain every step, and --memory-fraction alone sizes the bank
+    @pytest.mark.parametrize("variant,flag", [
+        ("axbn", "--gain-interval"), ("xbm", "--memory-capacity"),
+    ])
+    def test_removed_flag_exits_2(self, tmp_path, data_file, capsys, variant, flag):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["train", "--help"])
-        assert "--gain-interval" not in capsys.readouterr().out
+        assert flag not in capsys.readouterr().out
         with pytest.raises(SystemExit) as exc:
-            main(train_argv(data_file, tmp_path, "--variant", "axbn", "--gain-interval", "1"))
+            main(train_argv(data_file, tmp_path, "--variant", variant, flag, "12"))
         assert exc.value.code == 2
         assert not any(tmp_path.iterdir())
 
@@ -172,7 +223,7 @@ class TestSettingsTable:
         "variant,extra",
         [
             ("no-xbm", ()),
-            ("xbm", ("--memory-capacity", "12")),
+            ("xbm", ("--memory-fraction", "0.34")),  # 12 of the 36 train rows
             ("xbm-star", ()),
             ("xbn", ("--no-drift",)),
             ("axbn", ("--r", "0.02")),
@@ -476,17 +527,20 @@ class TestSweep:
                 np.std(sel), rel=1e-12, abs=1e-15
             )
 
-    def test_memory_fraction_axis_overrides_capacity(self, tmp_path, data_file):
+    def test_memory_fraction_axis_overrides_the_base_fraction(self, tmp_path, data_file):
         out = tmp_path / "sweep"
         code = main([
             "sweep", "--dataset", str(data_file), "--out", str(out), *FAST,
-            "--memory-capacity", "18",  # would clash; the swept fraction must win
+            "--memory-fraction", "0.9",  # the swept fractions win over the base value
             "--axis", "memory-fraction", "--values", "0,0.5",
             "--variants", "xbm", "--seeds", "0",
         ])
         assert code == 0
         runs = read_csv_rows(out / "sweep_runs.csv")
         assert [r["axis_value"] for r in runs] == ["0.0", "0.5"]
+        for value in ("0", "0.5"):
+            echoed = read_config_file(out / f"memory-fraction-{value}" / "xbm" / "0" / "config.txt")
+            assert float(echoed["memory_fraction"]) == float(value)
         assert all(r["status"] == "ok" for r in runs)
         agg = read_csv_rows(out / "sweep_summary.csv")
         assert all(float(r["std_r_at_1"]) == 0.0 for r in agg)  # single seed
@@ -594,7 +648,7 @@ class TestSweep:
 
     def test_axes_are_the_scalar_settings(self, capsys):
         axes = [
-            "batch-size", "samples-per-class", "memory-fraction", "memory-capacity", "epochs",
+            "batch-size", "samples-per-class", "memory-fraction", "epochs",
             "warmup-epochs", "embed-dim", "lr", "weight-decay", "schedule-gamma",
             "schedule-every", "warmup-lr", "pos-margin", "neg-margin", "q", "p0", "r",
         ]
@@ -701,7 +755,7 @@ class TestDrift:
         out = tmp_path / "drift"
         code = main([
             "drift", "--dataset", str(data_file), "--out", str(out), *FAST,
-            "--variants", "no-xbm,xbm", "--memory-capacity", "3",  # < batch 6 fails xbm
+            "--variants", "no-xbm,xbm", "--memory-fraction", "0.08",  # 3 rows < batch 6 fails xbm
         ])
         assert code == 1
         failed = [line for line in capsys.readouterr().out.splitlines() if "failed:" in line]

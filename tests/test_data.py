@@ -194,6 +194,29 @@ class TestBinaryFormat:
             load_features(path)
         assert err.value.offset == 0
 
+    def test_truncated_header(self, tmp_path):
+        path = tmp_path / "d.xbnf"
+        save_features(generate_synthetic(SMALL), path)
+        path.write_bytes(path.read_bytes()[:10])
+        with pytest.raises(FormatError, match="truncated header") as err:
+            load_features(path)
+        assert err.value.offset == 10
+
+    def test_label_beyond_u32_rejected(self, tmp_path):
+        ds = FeatureDataset(features=np.zeros((2, 2)), labels=[0, 2**32], splits=np.zeros(2))
+        with pytest.raises(InvalidConfig, match="unsigned 32-bit"):
+            save_features(ds, tmp_path / "d.xbnf")
+        assert not (tmp_path / "d.xbnf").exists()
+
+    def test_integer_features_stored_as_float64(self, tmp_path):
+        ds = FeatureDataset(features=np.arange(6).reshape(3, 2), labels=np.zeros(3),
+                            splits=np.zeros(3))
+        assert ds.features.dtype == np.float64
+        save_features(ds, tmp_path / "d.xbnf")
+        back = load_features(tmp_path / "d.xbnf")
+        assert back.features.dtype == np.float64
+        np.testing.assert_array_equal(back.features, np.arange(6.0).reshape(3, 2))
+
     def test_bad_version(self, tmp_path):
         ds = generate_synthetic(SMALL)
         path = tmp_path / "d.xbnf"

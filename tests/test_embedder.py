@@ -336,9 +336,12 @@ class TestOptimizer:
                 opt.step(bad, epoch=0)
         assert net.params.tobytes() == before.tobytes()
 
-    def test_invalid_kind(self):
+    @pytest.mark.parametrize("kwargs", [
+        {"kind": "rmsprop"}, {"schedule_gamma": 1.5}, {"schedule_every": -1},
+    ])
+    def test_invalid_config(self, kwargs):
         with pytest.raises(InvalidConfig):
-            OptimizerConfig(kind="rmsprop")
+            OptimizerConfig(**kwargs)
 
     def test_replace_into_invalid_value(self):
         with pytest.raises(InvalidConfig, match=r"^learning_rate must be finite and > 0, got inf$"):
@@ -414,6 +417,24 @@ class TestCheckpoint:
             np.testing.assert_array_equal(a, b)
         for a, b in zip(net.biases, loaded.biases):
             np.testing.assert_array_equal(a, b)
+
+    def test_truncated_header(self, tmp_path):
+        path = tmp_path / "net.xbnc"
+        save_checkpoint(tiny_net(seed=4), path)
+        path.write_bytes(path.read_bytes()[:9])
+        with pytest.raises(FormatError, match="truncated checkpoint header") as err:
+            load_checkpoint(path)
+        assert err.value.offset == 9
+
+    def test_unsupported_version(self, tmp_path):
+        path = tmp_path / "net.xbnc"
+        save_checkpoint(tiny_net(seed=4), path)
+        blob = bytearray(path.read_bytes())
+        blob[4:6] = (2).to_bytes(2, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="unsupported checkpoint version 2") as err:
+            load_checkpoint(path)
+        assert err.value.offset == 4
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.xbnc"

@@ -114,6 +114,13 @@ class TestKalmanStep:
         with pytest.raises(DimensionMismatch):
             kalman_step(state, unit_obs(4), batch_size=4, config=cfg)
 
+    def test_empty_batch_rejected(self):
+        cfg = KalmanConfig()
+        with pytest.raises(InvalidConfig, match="batch_size must be >= 1, got 0"):
+            kalman_step(kalman_init(unit_obs(), cfg), unit_obs(), batch_size=0, config=cfg)
+        with pytest.raises(InvalidConfig, match="batch_size must be >= 1, got 0"):
+            steady_state_gain(cfg, batch_size=0)
+
     def test_batch_size_scales_noise(self):
         # larger batch -> smaller effective noise -> larger gain
         cfg = KalmanConfig(q=1.0, r=1.0, p0=1.0)

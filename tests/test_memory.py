@@ -10,6 +10,7 @@ from crossbatch import (
     InvalidConfig,
     MemoryBank,
     MomentStats,
+    NonFiniteInput,
     compute_moments,
 )
 from oracles import FifoList, xbn_transform
@@ -59,9 +60,10 @@ class TestEnqueue:
         bank.enqueue(batch_of(rows(5, 2)))
         assert len(bank) == 0
 
-    def test_negative_capacity_rejected(self):
+    @pytest.mark.parametrize("capacity,dim", [(-1, 2), (4, 0)])
+    def test_negative_capacity_or_empty_rows_rejected(self, capacity, dim):
         with pytest.raises(InvalidConfig):
-            MemoryBank(capacity=-1, dim=2)
+            MemoryBank(capacity=capacity, dim=dim)
 
 
 class TestAdapt:
@@ -131,6 +133,13 @@ class TestAdapt:
         assert not np.shares_memory(bank.vectors, vectors)
         np.testing.assert_array_equal(vectors, snapshot)
         assert np.shares_memory(bank.labels, labels)
+
+    def test_infinite_target_rejected_and_bank_kept(self):
+        bank = self._filled(d=2)
+        vectors = bank.vectors
+        with pytest.raises(NonFiniteInput):
+            bank.adapt(MomentStats(mean=[np.inf, 0.0], std=[1.0, 1.0]))
+        assert bank.vectors is vectors
 
     def test_target_dim_mismatch(self):
         bank = self._filled()

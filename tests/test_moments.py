@@ -95,6 +95,10 @@ class TestEmbeddingBatchValidation:
         with pytest.raises(ShapeMismatch):
             EmbeddingBatch(vectors=np.zeros(4), labels=np.zeros(4, dtype=np.int64))
 
+    def test_stats_shape_mismatch(self):
+        with pytest.raises(ShapeMismatch):
+            MomentStats(mean=np.zeros(3), std=np.ones(2))
+
     def test_label_length_mismatch(self):
         with pytest.raises(ShapeMismatch):
             EmbeddingBatch(vectors=np.zeros((3, 2)), labels=np.zeros(2, dtype=np.int64))

@@ -78,6 +78,11 @@ class TestProtocolValidation:
         recall_at_k(b, b, (4,))
         recall_at_k(b, g, (5,))
 
+    def test_no_queries(self):
+        empty = EmbeddingBatch(vectors=np.empty((0, 4)), labels=np.empty(0, dtype=np.int64))
+        with pytest.raises(InvalidConfig, match="no queries to evaluate"):
+            recall_at_k(empty, batch(6, 4, seed=0), (1,))
+
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
             recall_at_k(batch(4, 3, seed=0), batch(4, 5, seed=1), (1,))

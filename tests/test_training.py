@@ -15,6 +15,7 @@ from crossbatch import (
     SyntheticConfig,
     TrainConfig,
     OptimizerConfig,
+    PairMinerConfig,
     TrainingRun,
     compute_moments,
     generate_synthetic,
@@ -105,24 +106,44 @@ class TestTrainConfig:
             {"batch_size": 10, "samples_per_class": 4},
             {"epochs": -1},
             {"warmup_epochs": -1},
-            {"memory_fraction": None},  # and no capacity either
-            {"memory_capacity": -1},
+            {"memory_fraction": -0.1},
             {"embed_dim": 0},
             {"hidden_dims": (8, 0)},
-            # optimizer settings, each built into an OptimizerConfig inside the test
-            {"main_optimizer": {"learning_rate": np.inf}},
-            {"main_optimizer": {"learning_rate": np.nan}},
-            {"warmup_optimizer": {"kind": "sgd", "learning_rate": np.inf}},
-            {"main_optimizer": {"weight_decay": np.inf}},
-            {"main_optimizer": {"weight_decay": np.nan}},
+            # settings of the parts TrainConfig builds
+            {"lr": np.inf},
+            {"lr": np.nan},
+            {"warmup_lr": np.inf},
+            {"weight_decay": np.inf},
+            {"weight_decay": np.nan},
+            {"q": 0.0},
+            {"pos_margin": 0.9},
             {"memory_fraction": 1.5},
             {"memory_fraction": np.nan},
         ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(InvalidConfig):
-            TrainConfig(**{key: OptimizerConfig(**value) if isinstance(value, dict) else value
-                           for key, value in kwargs.items()})
+            TrainConfig(**kwargs)
+
+    @pytest.mark.parametrize("name,value", [
+        ("kalman", KalmanConfig()), ("main_optimizer", OptimizerConfig()), ("memory_capacity", 12),
+    ])
+    def test_removed_arguments(self, name, value):
+        # the parts are built from the flat fields; memory_fraction alone sizes the bank
+        with pytest.raises(TypeError, match=name):
+            TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("changes", [{}, {"lr": 3e-3, "warmup_lr": 0.5, "q": 2.0,
+                                              "r": 0.5, "neg_margin": 1.2, "schedule_every": 0}])
+    def test_parts_are_built_from_the_fields(self, changes):
+        config = dataclasses.replace(TrainConfig(weight_decay=0.01, p0=3.0), **changes)
+        assert config.main_optimizer == OptimizerConfig(
+            kind="adamw", learning_rate=config.lr, weight_decay=config.weight_decay,
+            schedule_gamma=config.schedule_gamma, schedule_every=config.schedule_every)
+        assert config.warmup_optimizer == OptimizerConfig(kind="sgd",
+                                                          learning_rate=config.warmup_lr)
+        assert config.kalman == KalmanConfig(q=config.q, r=config.r, p0=config.p0)
+        assert config.miner == PairMinerConfig(config.pos_margin, config.neg_margin)
 
     def test_replace_into_invalid_value(self):
         with pytest.raises(InvalidConfig, match=r"^embed_dim must be >= 1, got 0$"):
@@ -147,9 +168,8 @@ class TestTrainConfig:
     def test_resolve_capacity(self):
         assert TrainConfig(memory_fraction=0.5).resolve_capacity(101) == 50
         assert TrainConfig(memory_fraction=1.0).resolve_capacity(7) == 7
-        assert TrainConfig(memory_fraction=None, memory_capacity=7).resolve_capacity(100) == 7
-        # the fraction is checked only when it sets the capacity
-        assert TrainConfig(memory_fraction=1.5, memory_capacity=7).resolve_capacity(100) == 7
+        # a capacity of c rows out of n is the fraction c/n
+        assert TrainConfig(memory_fraction=7 / 100).resolve_capacity(100) == 7
 
 
 class TestSamplePkBatches:
@@ -211,8 +231,7 @@ class TestFeatureDrift:
         assert (record.drift_mean, record.drift_max) == (0.0, 0.0)
 
     def test_bounded_by_two_on_unit_sphere(self, dataset):
-        big_steps = OptimizerConfig(kind="sgd", learning_rate=100.0)
-        cfg = small_config(warmup_epochs=0, main_optimizer=big_steps)
+        cfg = small_config(warmup_epochs=0, lr=100.0)
         run = TrainingRun(cfg, dataset, MethodVariant("xbm"))
         for idx in run.epoch_batches():
             record = run.train_step(idx)
@@ -246,13 +265,13 @@ class TestFeatureDrift:
 
 class TestTrainingRunSetup:
     def test_capacity_below_batch_rejected_for_memory_variants(self, dataset):
-        cfg = small_config(memory_fraction=None, memory_capacity=4)
+        cfg = small_config(memory_fraction=4 / 48)  # of the fixture's 48 train rows
         with pytest.raises(InvalidConfig):
             TrainingRun(cfg, dataset, MethodVariant("xbm"))
         # fine without memory, and zero capacity is a legal degenerate bank
         TrainingRun(cfg, dataset, MethodVariant("no-xbm"))
         TrainingRun(
-            small_config(memory_fraction=None, memory_capacity=0),
+            small_config(memory_fraction=0.0),
             dataset,
             MethodVariant("xbm"),
         )
@@ -373,7 +392,7 @@ class TestTrainingLoop:
             np.testing.assert_array_equal(run.bank.vectors, expect)
 
     def test_bank_empty_through_warmup_then_bounded(self, dataset):
-        cfg = small_config(memory_fraction=None, memory_capacity=16, epochs=1)
+        cfg = small_config(memory_fraction=16 / 48, epochs=1)
         run = TrainingRun(cfg, dataset, MethodVariant("xbm"))
         run.run_epoch()
         assert len(run.bank) == 0  # warmup never touches the bank
@@ -383,8 +402,7 @@ class TestTrainingLoop:
         assert len(run.bank) == 16
 
     def test_adapt_matches_batch_moments_during_xbn_run(self, dataset):
-        cfg = small_config(warmup_epochs=0, epochs=1, memory_fraction=None,
-                           memory_capacity=40)
+        cfg = small_config(warmup_epochs=0, epochs=1, memory_fraction=40 / 48)
         run = TrainingRun(cfg, dataset, MethodVariant("xbn"))
         batches = run.epoch_batches()
         for idx in batches[:3]:
@@ -409,9 +427,7 @@ class TestTrainingLoop:
             return [run.train_step(idx).loss for idx in run.epoch_batches()]
 
         ref = losses_for(MethodVariant("xbn"))
-        exact = losses_for(
-            MethodVariant("axbn"), kalman=KalmanConfig(r=0.0)
-        )
+        exact = losses_for(MethodVariant("axbn"), r=0.0)
         frozen = losses_for(MethodVariant("ema", momentum=0.0))
         assert exact == ref
         assert frozen == ref
