@@ -1,4 +1,4 @@
-"""Experiment command line: train, sweep, drift, eval, gen-data.
+"""Experiment command line: train, sweep, eval, gen-data.
 
 Configuration comes from a flat key=value file plus flag overrides (flags
 win); the keys, and the flags spelled with dashes, are TrainConfig's fields.
@@ -270,9 +270,11 @@ def _distinct(flag: str, items: list) -> None:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    """Run the grid of axis values x variants x seeds; drift is this grid without an axis."""
+    """Run the grid of axis values x variants x seeds; without --axis, of variants x seeds."""
     if args.workers < 1:
         raise InvalidConfig(f"--workers must be >= 1, got {args.workers}")
+    if (args.axis is None) != (args.values is None):
+        raise InvalidConfig("--axis and --values are given together or not at all")
     settings = resolve_settings(args)
     _load_dataset(settings)  # fail fast on a bad path before launching workers
     # from the settings, not a built config: a base value that is invalid fails
@@ -373,7 +375,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
 
 def _run_flags() -> argparse.ArgumentParser:
-    """The flags train, sweep and drift share, as a parent parser their subparsers copy."""
+    """The flags train and sweep share, as a parent parser their subparsers copy."""
     # a parent never prints help: a fixed width skips a terminal-size lookup per flag
     p = argparse.ArgumentParser(
         add_help=False, formatter_class=lambda prog: argparse.HelpFormatter(prog, width=80))
@@ -389,35 +391,24 @@ def _run_flags() -> argparse.ArgumentParser:
     return p
 
 
-def _run_parser(sub, run_flags, name: str, summary: str, **defaults) -> argparse.ArgumentParser:
-    """The subparser of train, sweep or drift, with the flags run_flags() returns."""
-    p = sub.add_parser(name, help=summary, parents=[run_flags()])
-    p.set_defaults(**defaults)
-    return p
-
-
 def _add_train(sub, run_flags) -> None:
-    p = _run_parser(sub, run_flags, "train", "one training run", func=cmd_train)
+    p = sub.add_parser("train", help="one training run", parents=[run_flags()])
     p.add_argument("--variant", help=f"one of {', '.join(VARIANTS)}; ema is spelled ema:M")
+    p.set_defaults(func=cmd_train)
 
 
 def _add_sweep(sub, run_flags) -> None:
-    p = _run_parser(sub, run_flags, "sweep", "grid of runs over one axis x variants x seeds",
-                    func=cmd_sweep)
+    p = sub.add_parser("sweep", help="grid of runs over an optional axis x variants x seeds",
+                       parents=[run_flags()])
     axes = [k.replace("_", "-") for k, parse in _SETTINGS.items()
             if parse in (int, float) and k != "seed"]
-    p.add_argument("--axis", required=True, choices=axes, help="the scalar setting to vary")
-    p.add_argument("--values", required=True, help="comma-separated axis values")
+    p.add_argument("--axis", choices=axes, help="the scalar setting to vary, with --values")
+    p.add_argument("--values", help="comma-separated axis values")
     p.add_argument("--variants", required=True, help="comma-separated variant names")
-    p.add_argument("--seeds", required=True, help="comma-separated seeds")
+    p.add_argument("--seeds", help="comma-separated seeds (default the seed setting)")
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes, at most one per run and per CPU")
-
-
-def _add_drift(sub, run_flags) -> None:
-    p = _run_parser(sub, run_flags, "drift", "per-epoch drift curves: the sweep without an axis",
-                    func=cmd_sweep, axis=None, values=None, seeds=None, workers=1)
-    p.add_argument("--variants", required=True, help="comma-separated variant names")
+    p.set_defaults(func=cmd_sweep)
 
 
 def _add_eval(sub, run_flags) -> None:
@@ -439,8 +430,7 @@ def _add_gen_data(sub, run_flags) -> None:
 
 
 _COMMANDS = {  # each command's subparser builder, in the order the help lists them
-    "train": _add_train, "sweep": _add_sweep, "drift": _add_drift,
-    "eval": _add_eval, "gen-data": _add_gen_data,
+    "train": _add_train, "sweep": _add_sweep, "eval": _add_eval, "gen-data": _add_gen_data,
 }
 
 

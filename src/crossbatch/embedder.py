@@ -1,4 +1,4 @@
-"""MLP embedder with final L2 normalization, exact backprop, and optimizers.
+"""MLP embedder with final L2 normalization, exact backprop, and AdamW.
 
 The embedder maps raw feature vectors through fully connected ReLU layers to a
 d-dimensional output, then normalizes each row to the unit sphere. Everything
@@ -55,7 +55,11 @@ class MLPEmbedder:
         if len(dims) < 1 or any(d < 1 for d in dims):
             raise InvalidConfig(f"layer_dims must be >= 1 positive sizes, got {layer_dims}")
         size = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims, dims[1:]))
-        self._bind(dims, np.zeros(size))
+        try:
+            params = np.zeros(size)
+        except ValueError:  # numpy's refusal of a size it cannot index, before allocating
+            raise InvalidConfig(f"layer_dims {dims} need {size} parameters, too many") from None
+        self._bind(dims, params)
         rng = np.random.default_rng(seed)
         for w in self.weights:
             limit = 1.0 / math.sqrt(w.shape[0])
@@ -184,23 +188,19 @@ ADAM_EPS = 1e-8
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Update rule plus step learning-rate schedule.
+    """AdamW (decoupled weight decay, ADAM_BETA1/ADAM_BETA2/ADAM_EPS) plus a
+    step learning-rate schedule.
 
-    kind "sgd" (plain, conventional coupled weight decay) or "adamw"
-    (decoupled weight decay, ADAM_BETA1/ADAM_BETA2/ADAM_EPS). The schedule
-    multiplies the learning rate by schedule_gamma every schedule_every
-    epochs; schedule_every 0 disables decay.
+    The schedule multiplies the learning rate by schedule_gamma every
+    schedule_every epochs; schedule_every 0 disables decay.
     """
 
-    kind: str = "adamw"
     learning_rate: float = 1e-4
     weight_decay: float = 0.0
     schedule_gamma: float = 1.0
     schedule_every: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("sgd", "adamw"):
-            raise InvalidConfig(f"optimizer kind must be sgd or adamw, got {self.kind!r}")
         if not 0.0 < self.learning_rate < math.inf:
             raise InvalidConfig(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not 0.0 <= self.schedule_gamma <= 1.0:
@@ -217,21 +217,12 @@ class OptimizerConfig:
 
 
 class Optimizer:
-    """Update state for the part of one embedder's params it trains.
+    """AdamW state for all of one embedder's params."""
 
-    That part is fixed at construction: every layer, or with last_layer_only
-    the final layer alone. The rest of params is never touched.
-    """
-
-    def __init__(self, config: OptimizerConfig, embedder: MLPEmbedder, last_layer_only=False):
+    def __init__(self, config: OptimizerConfig, embedder: MLPEmbedder):
         self.config = config
         self.t = 0
-        start = 0
-        if last_layer_only and embedder.n_layers:
-            start = embedder.params.size - embedder.weights[-1].size - embedder.biases[-1].size
-        self._part = slice(start, None)
-        self._shape = embedder.params.shape
-        self._params = embedder.params[self._part]
+        self._params = embedder.params
         self._m = np.zeros_like(self._params)
         self._v = np.zeros_like(self._params)
         # AdamW's step quotient lr * m_hat / (sqrt(v_hat) + eps), built in place
@@ -239,37 +230,29 @@ class Optimizer:
         self._den = np.empty_like(self._params)
 
     def step(self, grad: np.ndarray, epoch: int) -> None:
-        """One in-place update of the trained part at the scheduled learning rate.
+        """One in-place update of params at the scheduled learning rate.
 
-        grad is laid out like params (MLPEmbedder.backward's output); the
-        trained slice is updated in one pass, each element by the same
-        arithmetic as alone.
+        grad is laid out like params (MLPEmbedder.backward's output); every
+        element is updated in one pass, by the same arithmetic as alone.
         """
-        if grad.shape != self._shape:
-            raise ShapeMismatch(f"gradient shape {grad.shape} != parameter shape {self._shape}")
+        param, m, v, num, den = self._params, self._m, self._v, self._num, self._den
+        if grad.shape != param.shape:
+            raise ShapeMismatch(f"gradient shape {grad.shape} != parameter shape {param.shape}")
         cfg = self.config
         lr = cfg.lr_at(epoch)
         self.t += 1
-        param = self._params
-        grad = grad[self._part]
-        if cfg.kind == "sgd":
-            if cfg.weight_decay:
-                grad = grad + cfg.weight_decay * param
-            param -= lr * grad
-        else:
-            m, v, num, den = self._m, self._v, self._num, self._den
-            m *= ADAM_BETA1
-            m += np.multiply(1.0 - ADAM_BETA1, grad, out=num)
-            v *= ADAM_BETA2
-            np.square(grad, out=den)
-            v += np.multiply(1.0 - ADAM_BETA2, den, out=den)
-            np.divide(m, 1.0 - ADAM_BETA1**self.t, out=num)
-            num *= lr
-            np.sqrt(np.divide(v, 1.0 - ADAM_BETA2**self.t, out=den), out=den)
-            den += ADAM_EPS
-            param -= np.divide(num, den, out=num)
-            if cfg.weight_decay:
-                param -= np.multiply(lr * cfg.weight_decay, param, out=num)
+        m *= ADAM_BETA1
+        m += np.multiply(1.0 - ADAM_BETA1, grad, out=num)
+        v *= ADAM_BETA2
+        np.square(grad, out=den)
+        v += np.multiply(1.0 - ADAM_BETA2, den, out=den)
+        np.divide(m, 1.0 - ADAM_BETA1**self.t, out=num)
+        num *= lr
+        np.sqrt(np.divide(v, 1.0 - ADAM_BETA2**self.t, out=den), out=den)
+        den += ADAM_EPS
+        param -= np.divide(num, den, out=num)
+        if cfg.weight_decay:
+            param -= np.multiply(lr * cfg.weight_decay, param, out=num)
 
 
 def save_checkpoint(embedder: MLPEmbedder, path) -> None:

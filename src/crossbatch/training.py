@@ -107,9 +107,9 @@ class TrainConfig:
     """A run's settings, one field each: the config-file keys, and with dashes the flags.
 
     Building it checks every setting and builds the parts TrainingRun reads:
-    main_optimizer (AdamW from lr, weight_decay and the schedule),
-    warmup_optimizer (SGD at warmup_lr), kalman (q, r, p0) and miner (the
-    margins). They are attributes, not fields, so they always match the fields.
+    main_optimizer (AdamW from lr, weight_decay and the schedule), kalman
+    (q, r, p0) and miner (the margins). They are attributes, not fields, so
+    they always match the fields.
     """
 
     batch_size: int = 16
@@ -123,7 +123,7 @@ class TrainConfig:
     weight_decay: float = OptimizerConfig.weight_decay
     schedule_gamma: float = 0.33
     schedule_every: int = 15
-    warmup_lr: float = 1e-3
+    warmup_lr: float = 1e-3  # plain gradient steps on the last layer
     pos_margin: float = PairMinerConfig.pos_margin
     neg_margin: float = PairMinerConfig.neg_margin
     recall_ks: tuple[int, ...] = (1, 10)
@@ -148,9 +148,10 @@ class TrainConfig:
         if _check_k_values(self.recall_ks)[0] != 1:
             # run() picks the best epoch by R@1
             raise InvalidConfig(f"recall_ks must start with 1, got {self.recall_ks}")
+        if not 0.0 < self.warmup_lr < math.inf:
+            raise InvalidConfig(f"warmup_lr must be finite and > 0, got {self.warmup_lr}")
         object.__setattr__(self, "main_optimizer", OptimizerConfig(
-            "adamw", self.lr, self.weight_decay, self.schedule_gamma, self.schedule_every))
-        object.__setattr__(self, "warmup_optimizer", OptimizerConfig("sgd", self.warmup_lr))
+            self.lr, self.weight_decay, self.schedule_gamma, self.schedule_every))
         object.__setattr__(self, "kalman", KalmanConfig(q=self.q, r=self.r, p0=self.p0))
         object.__setattr__(self, "miner", PairMinerConfig(self.pos_margin, self.neg_margin))
 
@@ -272,10 +273,8 @@ class TrainingRun:
         self.bank = MemoryBank(capacity, config.embed_dim)
         self.kalman_state = None
         self.stage = "warmup" if config.warmup_epochs > 0 else "main"
-        if self.stage == "warmup":
-            self.optimizer = Optimizer(config.warmup_optimizer, self.embedder, last_layer_only=True)
-        else:
-            self.optimizer = Optimizer(config.main_optimizer, self.embedder)
+        # warmup never steps it, so the main stage starts it fresh
+        self.optimizer = Optimizer(config.main_optimizer, self.embedder)
         self.epoch = 0  # global epoch counter across both stages
         self.global_step = 0
         self.iterations: list[IterationRecord] = []
@@ -285,21 +284,15 @@ class TrainingRun:
         self.probe_inputs = self.train_features[probe_rows]
         self._prev_probe_z = self.embedder.embed(self.probe_inputs) if config.probe_drift else None
 
-    def _stage_epoch(self) -> int:
-        """Epoch index within the current stage, for the LR schedule."""
-        if self.stage == "warmup":
-            return self.epoch
-        return self.epoch - self.config.warmup_epochs
-
     def train_step(self, batch_indices: np.ndarray) -> IterationRecord:
         """One optimizer step on the given train-row indices.
 
         Order: embed; (filtered variants) observe batch stats, advance the
         filter, adapt the bank to its estimate; compute the loss against the
         variant's reference set; backprop and update; then enqueue the batch
-        for later iterations. Warmup steps run as no-xbm. If the step fails,
-        bank and filter state are rolled back so the run state is as before
-        the call.
+        for later iterations. Warmup steps run as no-xbm and update the last
+        layer alone, by plain gradient steps. If the step fails, bank and
+        filter state are rolled back so the run state is as before the call.
         """
         config = self.config
         z, cache = self.embedder.forward(self.train_features[batch_indices])
@@ -330,7 +323,14 @@ class TrainingRun:
             self.bank.restore(saved_bank)
             self.kalman_state = saved_kalman
             raise
-        self.optimizer.step(grad, self._stage_epoch())
+        if in_main:
+            epoch = self.epoch - config.warmup_epochs  # the schedule counts main epochs
+            lr = config.main_optimizer.lr_at(epoch)
+            self.optimizer.step(grad, epoch)
+        else:  # the last layer's weight and bias, the tail of params
+            lr = config.warmup_lr
+            head = slice(-self.embedder.weights[-1].size - self.embedder.biases[-1].size, None)
+            self.embedder.params[head] -= lr * grad[head]
         if in_main and self.variant.uses_memory:
             self.bank.enqueue(batch)
         drift_mean = drift_max = None
@@ -346,7 +346,7 @@ class TrainingRun:
             step=self.global_step,
             stage=self.stage,
             loss=out.value,
-            lr=self.optimizer.config.lr_at(self._stage_epoch()),
+            lr=lr,
             gain=gain_val,
             drift_mean=drift_mean,
             drift_max=drift_max,
@@ -382,9 +382,7 @@ class TrainingRun:
         )
         self.epoch_records.append(record)
         self.epoch += 1
-        if self.stage == "warmup" and self.epoch >= self.config.warmup_epochs:
-            self.stage = "main"
-            self.optimizer = Optimizer(self.config.main_optimizer, self.embedder)
+        self.stage = "main" if self.epoch >= self.config.warmup_epochs else "warmup"
         return record
 
     def run(self) -> TrainResult:

@@ -97,11 +97,10 @@ class FifoList:
 
 
 class PerArrayOptimizer:
-    """SGD/AdamW updating each weight and bias array on its own, with its own moments.
+    """AdamW updating each weight and bias array on its own, with its own moments.
 
-    params is a list of independent arrays, updated in place; step() touches
-    only the arrays whose indices are in trainable. AdamW uses the usual
-    betas (0.9, 0.999) and eps 1e-8.
+    params is a list of independent arrays, updated in place. It uses the
+    usual betas (0.9, 0.999) and eps 1e-8.
     """
 
     def __init__(self, config, params):
@@ -110,27 +109,20 @@ class PerArrayOptimizer:
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
 
-    def step(self, params, grads, trainable, epoch) -> None:
+    def step(self, params, grads, epoch) -> None:
         cfg = self.config
         lr = cfg.lr_at(epoch)
         self.t += 1
-        for idx in trainable:
-            param, grad = params[idx], grads[idx]
-            if cfg.kind == "sgd":
-                if cfg.weight_decay:
-                    grad = grad + cfg.weight_decay * param
-                param -= lr * grad
-            else:
-                m, v = self.m[idx], self.v[idx]
-                m *= 0.9
-                m += (1.0 - 0.9) * grad
-                v *= 0.999
-                v += (1.0 - 0.999) * grad**2
-                m_hat = m / (1.0 - 0.9**self.t)
-                v_hat = v / (1.0 - 0.999**self.t)
-                param -= lr * m_hat / (np.sqrt(v_hat) + 1e-8)
-                if cfg.weight_decay:
-                    param -= lr * cfg.weight_decay * param
+        for param, grad, m, v in zip(params, grads, self.m, self.v):
+            m *= 0.9
+            m += (1.0 - 0.9) * grad
+            v *= 0.999
+            v += (1.0 - 0.999) * grad**2
+            m_hat = m / (1.0 - 0.9**self.t)
+            v_hat = v / (1.0 - 0.999**self.t)
+            param -= lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+            if cfg.weight_decay:
+                param -= lr * cfg.weight_decay * param
 
 
 def per_layer_backward(embedder, cache, grad_z):

@@ -185,7 +185,7 @@ class TestSettingsTable:
         for key in SETTINGS:
             assert f"TrainConfig.{key}, default " in text, key
 
-    def test_train_sweep_and_drift_share_the_run_flags(self):
+    def test_train_and_sweep_share_the_run_flags(self):
         sub = next(a for a in build_parser()._actions if a.dest == "command")
         run_flags = {"--config", "--dataset", "--out"} | {
             "--no-drift" if key == "probe_drift" else "--" + key.replace("_", "-")
@@ -194,7 +194,6 @@ class TestSettingsTable:
         own = {
             "train": {"--variant"},
             "sweep": {"--axis", "--values", "--variants", "--seeds", "--workers"},
-            "drift": {"--variants"},
         }
         for name, extra in own.items():
             parser = sub.choices[name]
@@ -294,8 +293,7 @@ class TestOneCommandParser:
     # usage) and an error of the command's own parser
     CASES = {
         "train": (["--help"], ["--bogus"], ["--seed"]),
-        "sweep": (["-h"], ["--values", "1", "--bogus"], ["--variants", "xbn"]),
-        "drift": (["--help"], ["--variants", "xbn", "--bogus"], []),
+        "sweep": (["-h"], ["--values", "1", "--bogus"], ["--axis", "seed", "--variants", "xbn"]),
         "eval": (["--help"], ["--checkpoint", "c", "--dataset", "d", "--bogus"], []),
         "gen-data": (["-h"], ["--out", "d", "--bogus"], ["--out", "d", "--dtype", "f2"]),
     }
@@ -316,9 +314,9 @@ class TestOneCommandParser:
         assert parse_outcome(main, argv, capsys) == expected
         assert expected[0] == code
         if code:
-            assert "{train,sweep,drift,eval,gen-data}" in expected[2]
+            assert "{train,sweep,eval,gen-data}" in expected[2]
         else:
-            assert "{train,sweep,drift,eval,gen-data}" in expected[1]
+            assert "{train,sweep,eval,gen-data}" in expected[1]
 
     def test_main_builds_only_the_command_it_runs(self, tmp_path, monkeypatch):
         built = []
@@ -404,7 +402,7 @@ class TestTrain:
 
     def test_drift_directory_carries_momentum(self, tmp_path, data_file):
         out = tmp_path / "out"
-        code = main(["drift", "--dataset", str(data_file), "--out", str(out), *FAST,
+        code = main(["sweep", "--dataset", str(data_file), "--out", str(out), *FAST,
                      "--variants", "ema:0.3"])
         assert code == 0
         assert (out / "ema0.3" / "0" / "summary.csv").is_file()
@@ -437,6 +435,8 @@ class TestFlagValidation:
         # 7 classes per batch, from a train split of 6
         (("--batch-size", "14"), "need >= 7 distinct classes, dataset has 6"),
         (("--memory-fraction", "1.5"), "memory_fraction must be in [0, 1], got 1.5"),
+        # more parameters than numpy can index: refused before anything is allocated
+        (("--embed-dim", "10000000000000000000"), "parameters, too many"),
     ])
     def test_rejected_before_training(self, tmp_path, data_file, capsys, extra, needle):
         out = tmp_path / "out"
@@ -731,12 +731,43 @@ class TestSweep:
         assert code == 2
         assert "--workers must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [("--values", "6"), ("--axis", "batch-size")])
+    def test_axis_without_values_or_values_without_axis_exit_2(
+        self, tmp_path, data_file, capsys, extra
+    ):
+        out = tmp_path / "sweep"
+        assert self.sweep(data_file, out, *extra, "--variants", "xbm", "--seeds", "0") == 2
+        assert "--axis and --values are given together" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_oversized_cell_fails_alone(self, tmp_path, data_file, capsys):
+        out = tmp_path / "sweep"
+        huge = "10000000000000000000"  # more parameters than numpy can index
+        assert self.sweep(data_file, out, "--axis", "embed-dim", "--values", f"6,{huge}",
+                          "--variants", "xbm", "--seeds", "0") == 1
+        runs = read_csv_rows(out / "sweep_runs.csv")
+        assert [(r["axis_value"], r["status"]) for r in runs] == [("6", "ok"), (huge, "failed")]
+        assert "parameters, too many" in runs[1]["error"]
+        assert [r["axis_value"] for r in read_csv_rows(out / "drift.csv")] == ["6"] * 3
+        assert [r["n_seeds"] for r in read_csv_rows(out / "sweep_summary.csv")] == ["1", "0"]
+        assert f"failed: embed-dim={huge} xbm seed 0" in capsys.readouterr().out
+
+    def test_drift_command_removed(self, tmp_path, data_file):
+        out = tmp_path / "drift"  # the grid without an axis is sweep without --axis
+        with pytest.raises(SystemExit) as exc:
+            main(["drift", "--dataset", str(data_file), "--out", str(out), *FAST,
+                  "--variants", "xbn"])
+        assert exc.value.code == 2
+        assert not out.exists()
+
 
 class TestDrift:
+    """The grid without an axis: sweep given --variants alone, one run per variant."""
+
     def test_per_epoch_rows(self, tmp_path, data_file):
         out = tmp_path / "drift"
         code = main([
-            "drift", "--dataset", str(data_file), "--out", str(out), *FAST,
+            "sweep", "--dataset", str(data_file), "--out", str(out), *FAST,
             "--variants", "no-xbm,xbn",
         ])
         assert code == 0
@@ -754,7 +785,7 @@ class TestDrift:
     def test_failed_variant_keeps_its_siblings_rows(self, tmp_path, data_file, capsys):
         out = tmp_path / "drift"
         code = main([
-            "drift", "--dataset", str(data_file), "--out", str(out), *FAST,
+            "sweep", "--dataset", str(data_file), "--out", str(out), *FAST,
             "--variants", "no-xbm,xbm", "--memory-fraction", "0.08",  # 3 rows < batch 6 fails xbm
         ])
         assert code == 1
@@ -772,7 +803,7 @@ class TestDrift:
     def test_kalman_knob_reaches_every_variant(self, tmp_path, data_file, capsys):
         out = tmp_path / "drift"
         code = main([
-            "drift", "--dataset", str(data_file), "--out", str(out), *FAST,
+            "sweep", "--dataset", str(data_file), "--out", str(out), *FAST,
             "--variants", "xbm,axbn", "--r", "-1",  # every run fails validation
         ])
         assert code == 1
@@ -784,7 +815,7 @@ class TestDrift:
     def test_no_drift_leaves_drift_columns_empty(self, tmp_path, data_file):
         out = tmp_path / "drift"
         code = main([
-            "drift", "--dataset", str(data_file), "--out", str(out), *FAST,
+            "sweep", "--dataset", str(data_file), "--out", str(out), *FAST,
             "--variants", "xbn", "--no-drift",
         ])
         assert code == 0

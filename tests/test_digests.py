@@ -38,8 +38,8 @@ TRAIN = ["--seed", "3", "--warmup-epochs", "1", "--epochs", "3", "--batch-size",
 GRIDS = {
     "sweep": ["sweep", "--axis", "batch-size", "--values", "8,16", "--variants", "xbm,axbn",
               "--seeds", "0,1", "--warmup-epochs", "1", "--epochs", "1", "--lr", "2e-3"],
-    "drift": ["drift", "--variants", "no-xbm,ema:0.5", "--seed", "5", "--warmup-epochs", "1",
-              "--epochs", "1", "--lr", "2e-3"],
+    "drift": ["sweep", "--variants", "no-xbm,ema:0.5", "--seed", "5", "--warmup-epochs", "1",
+              "--epochs", "1", "--lr", "2e-3"],  # the grid without an axis
 }
 EVAL_DATA = ["--protocol", "query-gallery", "--val-classes", "80", "--samples-per-class", "40",
              "--seed", "801", "--cluster-std", "1.02"]

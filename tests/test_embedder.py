@@ -294,18 +294,8 @@ class TestBackward:
 
 
 class TestOptimizer:
-    def test_plain_sgd_step(self):
-        net = MLPEmbedder((2, 2), seed=1)
-        opt = Optimizer(OptimizerConfig(kind="sgd", learning_rate=0.1), net)
-        w_before = net.weights[0].copy()
-        grad = np.zeros_like(net.params)
-        net.layers(grad)[0][0][...] = 1.0  # ones on the weights, zero on the bias
-        opt.step(grad, epoch=0)
-        np.testing.assert_allclose(net.weights[0], w_before - 0.1, atol=1e-15)
-
     def test_schedule(self):
-        cfg = OptimizerConfig(kind="adamw", learning_rate=1e-4,
-                              schedule_gamma=0.33, schedule_every=15)
+        cfg = OptimizerConfig(learning_rate=1e-4, schedule_gamma=0.33, schedule_every=15)
         assert cfg.lr_at(0) == 1e-4
         assert cfg.lr_at(14) == 1e-4
         assert cfg.lr_at(15) == pytest.approx(0.33e-4)
@@ -313,7 +303,7 @@ class TestOptimizer:
 
     def test_adamw_zero_grad_fixed_point(self):
         net = MLPEmbedder((2, 2), seed=2)
-        opt = Optimizer(OptimizerConfig(kind="adamw", weight_decay=0.0), net)
+        opt = Optimizer(OptimizerConfig(weight_decay=0.0), net)
         w_before = net.weights[0].copy()
         opt.step(np.zeros_like(net.params), epoch=0)
         np.testing.assert_array_equal(net.weights[0], w_before)
@@ -322,7 +312,7 @@ class TestOptimizer:
         # with zero gradient, decay shrinks parameters multiplicatively
         net = MLPEmbedder((2, 2), seed=2)
         lr, wd = 1e-2, 0.5
-        opt = Optimizer(OptimizerConfig(kind="adamw", learning_rate=lr, weight_decay=wd), net)
+        opt = Optimizer(OptimizerConfig(learning_rate=lr, weight_decay=wd), net)
         w_before = net.weights[0].copy()
         opt.step(np.zeros_like(net.params), epoch=0)
         np.testing.assert_allclose(net.weights[0], w_before * (1 - lr * wd), atol=1e-15)
@@ -337,73 +327,40 @@ class TestOptimizer:
         assert net.params.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("kwargs", [
-        {"kind": "rmsprop"}, {"schedule_gamma": 1.5}, {"schedule_every": -1},
+        {"learning_rate": 0.0}, {"schedule_gamma": 1.5}, {"schedule_every": -1},
     ])
     def test_invalid_config(self, kwargs):
         with pytest.raises(InvalidConfig):
             OptimizerConfig(**kwargs)
+
+    def test_removed_sgd_and_last_layer_only(self):
+        # AdamW over every parameter is the only rule; the warmup's step lives in TrainingRun
+        with pytest.raises(TypeError, match="kind"):
+            OptimizerConfig(kind="sgd")
+        with pytest.raises(TypeError, match="last_layer_only"):
+            Optimizer(OptimizerConfig(), tiny_net(), last_layer_only=True)
 
     def test_replace_into_invalid_value(self):
         with pytest.raises(InvalidConfig, match=r"^learning_rate must be finite and > 0, got inf$"):
             dataclasses.replace(OptimizerConfig(), learning_rate=np.inf)
 
     @pytest.mark.parametrize("config", [
-        OptimizerConfig(kind="sgd", learning_rate=0.05),
-        OptimizerConfig(kind="sgd", learning_rate=0.05, weight_decay=0.01),
-        OptimizerConfig(kind="adamw", learning_rate=1e-2),
-        OptimizerConfig(kind="adamw", learning_rate=1e-2, weight_decay=0.1,
-                        schedule_gamma=0.5, schedule_every=2),
+        OptimizerConfig(learning_rate=1e-2),
+        OptimizerConfig(learning_rate=1e-2, weight_decay=0.1, schedule_gamma=0.5,
+                        schedule_every=2),
     ])
     def test_matches_per_array_oracle_bit_for_bit(self, config):
-        # 50 steps: 20 training the last layer only, then a fresh optimizer
-        # for every layer, as at the warmup/main stage change
         net = MLPEmbedder((5, 7, 6, 3), seed=11)
         oracle_params = [p.copy() for pair in zip(net.weights, net.biases) for p in pair]
-        opt = Optimizer(config, net, last_layer_only=True)
+        opt = Optimizer(config, net)
         oracle = PerArrayOptimizer(config, oracle_params)
-        trainable = [len(oracle_params) - 2, len(oracle_params) - 1]
         rng = np.random.default_rng(12)
         for step in range(50):
-            if step == 20:
-                opt = Optimizer(config, net)
-                oracle = PerArrayOptimizer(config, oracle_params)
-                trainable = range(len(oracle_params))
             grad = rng.normal(size=net.params.shape)
             epoch = step // 10
             opt.step(grad, epoch)
-            oracle_grads = [g.copy() for pair in net.layers(grad) for g in pair]
-            oracle.step(oracle_params, oracle_grads, trainable, epoch)
+            oracle.step(oracle_params, [g.copy() for pair in net.layers(grad) for g in pair], epoch)
             assert net.params.tobytes() == b"".join(p.tobytes() for p in oracle_params), step
-
-
-class TestFreeze:
-    def test_frozen_layers_untouched(self):
-        net = tiny_net(seed=9)
-        opt = Optimizer(OptimizerConfig(kind="sgd", learning_rate=0.5), net, last_layer_only=True)
-        first_before = net.weights[0].copy()
-        last_before = net.weights[-1].copy()
-        opt.step(np.ones_like(net.params), epoch=0)
-        np.testing.assert_array_equal(net.weights[0], first_before)
-        assert np.abs(net.weights[-1] - last_before).max() > 0
-
-    def test_unfrozen_step_touches_every_layer(self):
-        net = tiny_net(seed=9)
-        opt = Optimizer(OptimizerConfig(kind="sgd", learning_rate=0.5), net)
-        before = [w.copy() for w in net.weights]
-        opt.step(np.ones_like(net.params), epoch=0)
-        for w_before, w_after in zip(before, net.weights):
-            assert np.abs(w_after - w_before).max() > 0
-
-    def test_trainable_layers(self):
-        # last_layer_only trains exactly the final weight and bias elements
-        net = MLPEmbedder((3, 8, 5, 4), seed=9)
-        opt = Optimizer(OptimizerConfig(kind="sgd", learning_rate=0.5), net, last_layer_only=True)
-        before = net.params.copy()
-        opt.step(np.ones_like(net.params), epoch=0)
-        expected = np.zeros_like(net.params)
-        for part in net.layers(expected)[-1]:
-            part[...] = 1.0
-        np.testing.assert_array_equal(net.params != before, expected == 1.0)
 
 
 class TestCheckpoint:

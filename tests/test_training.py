@@ -14,6 +14,7 @@ from crossbatch import (
     NonFiniteLoss,
     SyntheticConfig,
     TrainConfig,
+    Optimizer,
     OptimizerConfig,
     PairMinerConfig,
     TrainingRun,
@@ -47,6 +48,18 @@ def small_config(**kw):
     )
     base.update(kw)
     return TrainConfig(**base)
+
+
+def record_gradients(run, monkeypatch) -> list:
+    """The gradients run's embedder.backward returns, appended as the run takes them."""
+    grads, backward = [], run.embedder.backward
+
+    def spy(*args):
+        grads.append(backward(*args))
+        return grads[-1]
+
+    monkeypatch.setattr(run.embedder, "backward", spy)
+    return grads
 
 
 class TestMethodVariant:
@@ -138,10 +151,8 @@ class TestTrainConfig:
     def test_parts_are_built_from_the_fields(self, changes):
         config = dataclasses.replace(TrainConfig(weight_decay=0.01, p0=3.0), **changes)
         assert config.main_optimizer == OptimizerConfig(
-            kind="adamw", learning_rate=config.lr, weight_decay=config.weight_decay,
+            learning_rate=config.lr, weight_decay=config.weight_decay,
             schedule_gamma=config.schedule_gamma, schedule_every=config.schedule_every)
-        assert config.warmup_optimizer == OptimizerConfig(kind="sgd",
-                                                          learning_rate=config.warmup_lr)
         assert config.kalman == KalmanConfig(q=config.q, r=config.r, p0=config.p0)
         assert config.miner == PairMinerConfig(config.pos_margin, config.neg_margin)
 
@@ -341,6 +352,32 @@ class TestTrainingLoop:
         changed = run.embedder.layers(params != after_warmup)
         assert all(w.any() and b.any() for w, b in changed)
 
+    def test_warmup_step_is_a_plain_gradient_step_on_the_last_layer(self, dataset, monkeypatch):
+        cfg = small_config(hidden_dims=(16, 12), warmup_lr=0.25)
+        run = TrainingRun(cfg, dataset, MethodVariant("axbn"))
+        grads = record_gradients(run, monkeypatch)
+        params = run.embedder.params
+        last = params.size - run.embedder.weights[-1].size - run.embedder.biases[-1].size
+        before = params.copy()
+        record = run.train_step(run.epoch_batches()[0])
+        assert record.stage == "warmup" and record.lr == 0.25
+        assert params[:last].tobytes() == before[:last].tobytes()
+        assert params[last:].tobytes() == (before[last:] - 0.25 * grads[0][last:]).tobytes()
+        assert run.optimizer.t == 0  # the main stage's AdamW starts fresh
+
+    def test_first_main_step_is_a_fresh_adamw_step(self, dataset, monkeypatch):
+        cfg = small_config(lr=1e-3, weight_decay=0.01)
+        run = TrainingRun(cfg, dataset, MethodVariant("xbn"))
+        run.run_epoch()  # warmup
+        grads = record_gradients(run, monkeypatch)
+        expected = run.embedder.clone()
+        record = run.train_step(run.epoch_batches()[0])
+        fresh = Optimizer(cfg.main_optimizer, expected)
+        fresh.step(grads[0], epoch=0)
+        assert record.stage == "main" and record.lr == 1e-3
+        assert run.optimizer.t == fresh.t == 1
+        assert run.embedder.params.tobytes() == expected.params.tobytes()
+
     def test_stage_transition_gain_and_lr(self, dataset):
         run = TrainingRun(small_config(epochs=1), dataset, MethodVariant("axbn"))
         rec_w = run.run_epoch()
@@ -353,7 +390,7 @@ class TestTrainingLoop:
         assert warm and main
         assert all(r.gain is None for r in warm)
         assert all(r.gain is not None for r in main)
-        assert all(r.lr == 1e-3 for r in warm)  # default warmup SGD
+        assert all(r.lr == 1e-3 for r in warm)  # default warmup_lr
         assert all(r.lr == 1e-4 for r in main)  # default main AdamW, epoch 0
 
     def test_first_main_step_loss_shared_across_variants(self, dataset):
