@@ -94,14 +94,17 @@ class MLPEmbedder:
     def embed_dim(self) -> int:
         return self.layer_dims[-1]
 
-    def forward(self, inputs: np.ndarray) -> tuple[np.ndarray, dict]:
-        """Embeddings plus the cache backward() needs.
+    def forward(self, inputs: np.ndarray, cached: int | None = None) -> tuple[np.ndarray, dict]:
+        """Embeddings plus the cache backward() needs for the leading cached rows (default all).
 
-        Every output row has unit L2 norm (within EPS_NORM rounding).
+        Every output row has unit L2 norm (within EPS_NORM rounding), whatever rows share the pass.
         """
         layer_inputs = []
         u, s = self._run(inputs, layer_inputs)
-        return u / s[:, None], {"layer_inputs": layer_inputs, "u": u, "s": s}
+        z = u / s[:, None]
+        if cached is not None:
+            layer_inputs, u, s = [a[:cached] for a in layer_inputs], u[:cached], s[:cached]
+        return z, {"layer_inputs": layer_inputs, "u": u, "s": s}
 
     def embed(self, inputs: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
         """forward()'s embeddings of inputs, or of inputs[rows], bit for bit, with no cache kept.

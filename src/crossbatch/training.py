@@ -167,8 +167,8 @@ class IterationRecord:
     loss: float
     lr: float
     gain: float | None = None  # filter gain, filtered variants only (xbn: 1.0)
-    drift_mean: float | None = None
-    drift_max: float | None = None
+    drift_mean: float | None = None  # mean/max distance the probe rows moved since the last
+    drift_max: float | None = None  # step's forward; None on a first step or with probe_drift off
 
 
 @dataclass(frozen=True)
@@ -280,22 +280,28 @@ class TrainingRun:
         self.iterations: list[IterationRecord] = []
         self.epoch_records: list[EpochRecord] = []
         n_probe = min(config.batch_size, len(self.train_labels))
-        probe_rows = _rng(config.seed, 2).choice(len(self.train_labels), size=n_probe, replace=False)
-        self.probe_inputs = self.train_features[probe_rows]
-        self._prev_probe_z = self.embedder.embed(self.probe_inputs) if config.probe_drift else None
+        rows = _rng(config.seed, 2).choice(len(self.train_labels), size=n_probe, replace=False)
+        self._probe_rows, self.probe_inputs = rows, self.train_features[rows]
+        self._prev_probe_z = None  # the probe rows' embeddings in the last successful forward
 
     def train_step(self, batch_indices: np.ndarray) -> IterationRecord:
         """One optimizer step on the given train-row indices.
 
-        Order: embed; (filtered variants) observe batch stats, advance the
-        filter, adapt the bank to its estimate; compute the loss against the
-        variant's reference set; backprop and update; then enqueue the batch
-        for later iterations. Warmup steps run as no-xbm and update the last
-        layer alone, by plain gradient steps. If the step fails, bank and
-        filter state are rolled back so the run state is as before the call.
+        Order: embed the batch with the probe rows stacked after it; (filtered variants)
+        observe batch stats, advance the filter, adapt the bank to its estimate; compute
+        the loss against the variant's reference set; backprop and update; enqueue the
+        batch; record how far the probe rows moved since the last step's forward. Warmup
+        steps run as no-xbm and update the last layer alone, by plain gradient steps. A
+        failed step is rolled back: bank, filter and probe state are as before the call.
         """
         config = self.config
-        z, cache = self.embedder.forward(self.train_features[batch_indices])
+        if config.probe_drift:  # the probe rows ride after the batch rows, outside the cache
+            n = len(batch_indices)
+            rows = np.concatenate((batch_indices, self._probe_rows))
+            z, cache = self.embedder.forward(self.train_features[rows], cached=n)
+            z, probe_z = z[:n], z[n:]
+        else:
+            z, cache = self.embedder.forward(self.train_features[batch_indices])
         batch = EmbeddingBatch(vectors=z, labels=self.train_labels[batch_indices])
         in_main = self.stage == "main"
         reference, stats_filter = VARIANTS[self.variant.kind if in_main else "no-xbm"]
@@ -335,12 +341,12 @@ class TrainingRun:
             self.bank.enqueue(batch)
         drift_mean = drift_max = None
         if config.probe_drift:
-            z_now = self.embedder.embed(self.probe_inputs)
-            diff = z_now - self._prev_probe_z
-            # what np.linalg.norm(diff, axis=1) computes, without its temporaries
-            dists = np.sqrt(np.add.reduce(np.square(diff, out=diff), axis=1))
-            drift_mean, drift_max = float(dists.mean()), float(dists.max())
-            self._prev_probe_z = z_now
+            if self._prev_probe_z is not None:
+                diff = probe_z - self._prev_probe_z
+                # what np.linalg.norm(diff, axis=1) computes, without its temporaries
+                dists = np.sqrt(np.add.reduce(np.square(diff, out=diff), axis=1))
+                drift_mean, drift_max = float(dists.mean()), float(dists.max())
+            self._prev_probe_z = probe_z
         record = IterationRecord(
             epoch=self.epoch,
             step=self.global_step,

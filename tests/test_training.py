@@ -228,7 +228,8 @@ class TestSamplePkBatches:
 
 
 class TestFeatureDrift:
-    """The per-step drift probe: displacement of the probe rows' embeddings."""
+    """The per-step drift probe: how far the probe rows' embeddings moved between the
+    forward passes of two successive steps, i.e. under the earlier step's update."""
 
     def test_identical_embedders(self, dataset, monkeypatch):
         import crossbatch.training as training_module
@@ -238,40 +239,109 @@ class TestFeatureDrift:
 
         monkeypatch.setattr(training_module, "xbm_loss", flat)
         run = TrainingRun(small_config(warmup_epochs=0), dataset, MethodVariant("xbm"))
-        record = run.train_step(run.epoch_batches()[0])
-        assert (record.drift_mean, record.drift_max) == (0.0, 0.0)
+        records = [run.train_step(idx) for idx in run.epoch_batches()]
+        assert (records[0].drift_mean, records[0].drift_max) == (None, None)
+        for record in records[1:]:
+            assert (record.drift_mean, record.drift_max) == (0.0, 0.0)
 
     def test_bounded_by_two_on_unit_sphere(self, dataset):
         cfg = small_config(warmup_epochs=0, lr=100.0)
         run = TrainingRun(cfg, dataset, MethodVariant("xbm"))
-        for idx in run.epoch_batches():
-            record = run.train_step(idx)
+        records = [run.train_step(idx) for idx in run.epoch_batches()]
+        assert (records[0].drift_mean, records[0].drift_max) == (None, None)
+        for record in records[1:]:
             assert 0.0 <= record.drift_mean <= record.drift_max <= 2.0 + 1e-12
+        assert max(r.drift_max for r in records[1:]) > 0.0
 
     def test_matches_manual_computation(self, dataset):
         run = TrainingRun(small_config(warmup_epochs=0), dataset, MethodVariant("axbn"))
         batches = run.epoch_batches()
         run.train_step(batches[0])
         before = run.embedder.embed(run.probe_inputs)
-        record = run.train_step(batches[1])
+        run.train_step(batches[1])
         after = run.embedder.embed(run.probe_inputs)
+        record = run.train_step(batches[2])  # records the move made by batches[1]'s update
         dists = [
             math.sqrt(math.fsum((x - y) ** 2 for x, y in zip(za, zb)))
             for za, zb in zip(after, before)
         ]
+        assert max(dists) > 0.0
         assert record.drift_mean == pytest.approx(math.fsum(dists) / len(dists), rel=1e-12)
         assert record.drift_max == pytest.approx(max(dists), rel=1e-12)
 
     def test_equals_linalg_norm_byte_for_byte(self, dataset):
         run = TrainingRun(small_config(warmup_epochs=0), dataset, MethodVariant("axbn"))
         before = run.embedder.embed(run.probe_inputs)
-        for idx in run.epoch_batches()[:4]:
+        norms = None  # step t's move, recorded by step t + 1
+        for idx in run.epoch_batches()[:5]:
             record = run.train_step(idx)
+            if norms is None:
+                assert (record.drift_mean, record.drift_max) == (None, None)
+            else:
+                assert record.drift_mean.hex() == float(norms.mean()).hex()
+                assert record.drift_max.hex() == float(norms.max()).hex()
             after = run.embedder.embed(run.probe_inputs)
             norms = np.linalg.norm(after - before, axis=1)
-            assert record.drift_mean.hex() == float(norms.mean()).hex()
-            assert record.drift_max.hex() == float(norms.max()).hex()
             before = after
+
+    @pytest.mark.parametrize("failing_step", [0, 2])
+    def test_failed_step_leaves_the_probe_state(self, dataset, monkeypatch, failing_step):
+        import crossbatch.training as training_module
+
+        def poisoned(batch, bank, cfg, kind):
+            return LossOutput(value=float("nan"), grad=np.zeros_like(batch.vectors))
+
+        run = TrainingRun(small_config(warmup_epochs=0), dataset, MethodVariant("axbn"))
+        batches = run.epoch_batches()
+        for idx in batches[:failing_step]:
+            before = run.embedder.embed(run.probe_inputs)  # the last successful forward's
+            run.train_step(idx)
+        with monkeypatch.context() as patch:
+            patch.setattr(training_module, "xbm_loss", poisoned)
+            with pytest.raises(NonFiniteLoss):
+                run.train_step(batches[failing_step])
+        now = run.embedder.embed(run.probe_inputs)
+        record = run.train_step(batches[failing_step + 1])
+        if failing_step == 0:  # no step has succeeded yet: nothing to compare against
+            assert (record.drift_mean, record.drift_max) == (None, None)
+            return
+        # the failed step's forward saw the parameters this step sees, so drift
+        # measured from it would be 0; the move since the last successful one is not
+        norms = np.linalg.norm(now - before, axis=1)
+        assert norms.max() > 0.0
+        assert record.drift_mean.hex() == float(norms.mean()).hex()
+        assert record.drift_max.hex() == float(norms.max()).hex()
+
+    @pytest.mark.parametrize("variant", ["xbm", "axbn"])
+    def test_probe_never_reaches_training(self, tmp_path, monkeypatch, variant):
+        from crossbatch.cli import main
+
+        data = str(tmp_path / "d.xbnf")
+        assert main(["gen-data", "--out", data, "--train-classes", "6", "--val-classes", "3",
+                     "--samples-per-class", "6", "--input-dim", "8", "--seed", "3"]) == 0
+        step = TrainingRun.train_step
+        params, drifts = [], []
+
+        def spy(run, idx):
+            record = step(run, idx)
+            params[-1].append(run.embedder.params.tobytes())
+            drifts[-1].append(record.drift_mean)
+            return record
+
+        monkeypatch.setattr(TrainingRun, "train_step", spy)
+        for flags in ((), ("--no-drift",)):
+            params.append([])
+            drifts.append([])
+            assert main(["train", "--dataset", data, "--out", str(tmp_path / str(len(params))),
+                         "--variant", variant, "--batch-size", "6", "--samples-per-class", "2",
+                         "--epochs", "2", "--warmup-epochs", "1", "--hidden-dims", "12",
+                         "--embed-dim", "6", "--recall-ks", "1,5", *flags]) == 0
+        assert len(params[0]) == 18  # 1 warmup + 2 main epochs of ceil(36 / 6) = 6 steps
+        assert None not in drifts[0][1:] and drifts[1] == [None] * 18
+        assert params[0] == params[1]
+        for name in ("checkpoint.xbnc", "summary.csv"):
+            on, off = (tmp_path / str(i) / variant / "0" / name for i in (1, 2))
+            assert on.read_bytes() == off.read_bytes(), name
 
 
 class TestTrainingRunSetup:
@@ -313,7 +383,8 @@ class TestTrainingLoop:
         assert len(result.epoch_records) == 4
         assert len(result.iterations) == 24
         assert [r.epoch for r in result.epoch_records] == [0, 1, 2, 3]
-        for r in result.iterations:
+        assert (result.iterations[0].drift_mean, result.iterations[0].drift_max) == (None, None)
+        for r in result.iterations[1:]:
             assert 0.0 <= r.drift_mean <= r.drift_max <= 2.0 + 1e-12
         assert 0 <= result.best_epoch <= 3
         assert set(result.best_recall) == {1, 5}
