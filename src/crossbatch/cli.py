@@ -25,9 +25,9 @@ import numpy as np
 from .data import FeatureDataset, SyntheticConfig, generate_synthetic, load_features, save_features
 from .embedder import load_checkpoint, save_checkpoint
 from .errors import CrossbatchError, InvalidConfig
-from .kalman import KalmanConfig
 from .retrieval import available_cpus
-from .training import VARIANTS, MethodVariant, TrainConfig, TrainingRun, TrainResult, evaluate
+from .training import (KALMAN_SETTINGS, VARIANTS, MethodVariant, TrainConfig, TrainingRun,
+                       TrainResult, evaluate)
 
 __all__ = ["main", "entrypoint", "read_metrics", "read_csv_rows"]
 
@@ -54,13 +54,11 @@ def _parse_bool(text: str) -> bool:
 
 # Every training setting: a TrainConfig field, its config-file key (the flag
 # is the key with dashes) and the parser its default's type picks. Defaults are
-# TrainConfig()'s. KalmanConfig's settings apply only to variants that run the
-# kalman filter.
+# TrainConfig()'s.
 _SETTINGS = {
     f.name: {tuple: _parse_int_tuple, bool: _parse_bool}.get(type(f.default), type(f.default))
     for f in fields(TrainConfig)
 }
-_KALMAN_SETTINGS = {f.name for f in fields(KalmanConfig)}
 
 
 def default_out_root() -> Path:
@@ -127,8 +125,8 @@ def build_train_config(settings: dict) -> TrainConfig:
 
 
 def _applies(key: str, variant: MethodVariant) -> bool:
-    """KalmanConfig's settings apply only to variants whose filter is the kalman filter."""
-    return key not in _KALMAN_SETTINGS or variant.stats_filter == "kalman"
+    """KALMAN_SETTINGS apply only to variants whose filter is the kalman filter."""
+    return key not in KALMAN_SETTINGS or variant.stats_filter == "kalman"
 
 
 def build_variant(settings: dict) -> MethodVariant:

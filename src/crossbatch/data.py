@@ -110,6 +110,8 @@ class SyntheticConfig:
             raise InvalidConfig(f"input_dim must be >= 1, got {self.input_dim}")
         if not self.cluster_std > 0:
             raise InvalidConfig(f"cluster_std must be > 0, got {self.cluster_std}")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         if self.protocol not in ("single", "query-gallery"):
             raise InvalidConfig(f"protocol must be single or query-gallery, got {self.protocol!r}")
 
@@ -119,8 +121,11 @@ def generate_synthetic(cfg: SyntheticConfig) -> FeatureDataset:
     rng = np.random.default_rng(cfg.seed)
     total_classes = cfg.train_classes + cfg.val_classes
     spc = cfg.samples_per_class
-    centers = rng.normal(0.0, 1.0, size=(total_classes, cfg.input_dim))
-    noise = rng.normal(0.0, cfg.cluster_std, size=(total_classes * spc, cfg.input_dim))
+    try:
+        centers = rng.normal(0.0, 1.0, size=(total_classes, cfg.input_dim))
+        noise = rng.normal(0.0, cfg.cluster_std, size=(total_classes * spc, cfg.input_dim))
+    except ValueError:  # numpy's refusal of a size it cannot index, before allocating
+        raise InvalidConfig(f"{total_classes * spc} x {cfg.input_dim} features: too many") from None
     features = np.repeat(centers, spc, axis=0) + noise
     labels = np.repeat(np.arange(total_classes, dtype=np.int64), spc)
     splits = np.full(total_classes * spc, TAG_TRAIN, dtype=np.uint8)

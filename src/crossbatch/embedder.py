@@ -10,16 +10,18 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import FormatError, InvalidConfig, NonFiniteInput, ShapeMismatch
 
+if TYPE_CHECKING:
+    from .training import TrainConfig
+
 __all__ = [
     "EPS_NORM",
     "MLPEmbedder",
-    "OptimizerConfig",
     "Optimizer",
     "save_checkpoint",
     "load_checkpoint",
@@ -189,40 +191,10 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """AdamW (decoupled weight decay, ADAM_BETA1/ADAM_BETA2/ADAM_EPS) plus a
-    step learning-rate schedule.
-
-    The schedule multiplies the learning rate by schedule_gamma every
-    schedule_every epochs; schedule_every 0 disables decay.
-    """
-
-    learning_rate: float = 1e-4
-    weight_decay: float = 0.0
-    schedule_gamma: float = 1.0
-    schedule_every: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.learning_rate < math.inf:
-            raise InvalidConfig(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if not 0.0 <= self.schedule_gamma <= 1.0:
-            raise InvalidConfig(f"schedule_gamma must be in [0, 1], got {self.schedule_gamma}")
-        if self.schedule_every < 0:
-            raise InvalidConfig(f"schedule_every must be >= 0, got {self.schedule_every}")
-        if not 0.0 <= self.weight_decay < math.inf:
-            raise InvalidConfig(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
-
-    def lr_at(self, epoch: int) -> float:
-        if self.schedule_every <= 0:
-            return self.learning_rate
-        return self.learning_rate * self.schedule_gamma ** (epoch // self.schedule_every)
-
-
 class Optimizer:
-    """AdamW state for all of one embedder's params."""
+    """AdamW (ADAM_BETA1/ADAM_BETA2/ADAM_EPS, decoupled weight_decay) state for one embedder."""
 
-    def __init__(self, config: OptimizerConfig, embedder: MLPEmbedder):
+    def __init__(self, config: TrainConfig, embedder: MLPEmbedder):
         self.config = config
         self.t = 0
         self._params = embedder.params
@@ -232,8 +204,8 @@ class Optimizer:
         self._num = np.empty_like(self._params)
         self._den = np.empty_like(self._params)
 
-    def step(self, grad: np.ndarray, epoch: int) -> None:
-        """One in-place update of params at the scheduled learning rate.
+    def step(self, grad: np.ndarray, lr: float) -> None:
+        """One in-place update of params at learning rate lr (TrainConfig.lr_at's).
 
         grad is laid out like params (MLPEmbedder.backward's output); every
         element is updated in one pass, by the same arithmetic as alone.
@@ -241,8 +213,6 @@ class Optimizer:
         param, m, v, num, den = self._params, self._m, self._v, self._num, self._den
         if grad.shape != param.shape:
             raise ShapeMismatch(f"gradient shape {grad.shape} != parameter shape {param.shape}")
-        cfg = self.config
-        lr = cfg.lr_at(epoch)
         self.t += 1
         m *= ADAM_BETA1
         m += np.multiply(1.0 - ADAM_BETA1, grad, out=num)
@@ -254,8 +224,8 @@ class Optimizer:
         np.sqrt(np.divide(v, 1.0 - ADAM_BETA2**self.t, out=den), out=den)
         den += ADAM_EPS
         param -= np.divide(num, den, out=num)
-        if cfg.weight_decay:
-            param -= np.multiply(lr * cfg.weight_decay, param, out=num)
+        if self.config.weight_decay:
+            param -= np.multiply(lr * self.config.weight_decay, param, out=num)
 
 
 def save_checkpoint(embedder: MLPEmbedder, path) -> None:

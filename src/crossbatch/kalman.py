@@ -12,37 +12,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidConfig
 from .moments import EPS_STD, MomentStats
 
+if TYPE_CHECKING:
+    from .training import TrainConfig
+
 __all__ = [
-    "KalmanConfig",
     "KalmanState",
     "kalman_init",
     "kalman_step",
     "ema_step",
     "steady_state_gain",
 ]
-
-
-@dataclass(frozen=True)
-class KalmanConfig:
-    """The filter's knobs, checked when built, so the filter functions take them as valid."""
-
-    q: float = 1.0  # process-noise variance
-    r: float = 0.01  # base measurement-noise variance, scaled by 1/batch_size per step
-    p0: float = 1.0  # initial estimation variance
-
-    def __post_init__(self):
-        if not 0 < self.q < math.inf:
-            raise InvalidConfig(f"q must be finite and > 0, got {self.q}")
-        if not 0 <= self.r < math.inf:
-            raise InvalidConfig(f"r must be finite and >= 0, got {self.r}")
-        if not 0 < self.p0 < math.inf:
-            raise InvalidConfig(f"p0 must be finite and > 0, got {self.p0}")
 
 
 @dataclass(frozen=True)
@@ -57,7 +43,7 @@ class KalmanState:
         return self.mean_est.shape[0]
 
 
-def kalman_init(first_obs: MomentStats, config: KalmanConfig) -> KalmanState:
+def kalman_init(first_obs: MomentStats, config: TrainConfig) -> KalmanState:
     """State initialized from the first observed minibatch statistics.
 
     The estimates are the observation itself, hence gain 1; p starts at p0.
@@ -92,7 +78,7 @@ def _advance(state: KalmanState, obs: MomentStats, gain: float, p: float) -> Kal
 
 
 def kalman_step(
-    state: KalmanState, obs: MomentStats, batch_size: int, config: KalmanConfig
+    state: KalmanState, obs: MomentStats, batch_size: int, config: TrainConfig
 ) -> KalmanState:
     """One filter update from a minibatch observation.
 
@@ -118,7 +104,7 @@ def ema_step(state: KalmanState, obs: MomentStats, momentum: float) -> KalmanSta
     return _advance(state, obs, 1.0 - momentum, state.p)
 
 
-def steady_state_gain(config: KalmanConfig, batch_size: int) -> float:
+def steady_state_gain(config: TrainConfig, batch_size: int) -> float:
     """Fixed point K* of the gain recursion with effective noise r' = r / batch_size.
 
     At the fixed point the predicted variance P solves P^2 - qP - qr' = 0, so

@@ -21,6 +21,7 @@ gradient from that role.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -28,8 +29,10 @@ from .errors import InvalidConfig, ShapeMismatch
 from .memory import MemoryBank
 from .moments import EmbeddingBatch
 
+if TYPE_CHECKING:
+    from .training import TrainConfig
+
 __all__ = [
-    "PairMinerConfig",
     "MinedPairs",
     "LossOutput",
     "distance_matrix",
@@ -38,21 +41,6 @@ __all__ = [
     "triplet_loss",
     "xbm_loss",
 ]
-
-@dataclass(frozen=True)
-class PairMinerConfig:
-    """Margins, in distance units, for pair selection and the hinges."""
-
-    pos_margin: float = 0.2
-    neg_margin: float = 0.8
-
-    def __post_init__(self):
-        if not 0.0 <= self.pos_margin < self.neg_margin <= 2.0:
-            raise InvalidConfig(
-                f"margins must satisfy 0 <= pos < neg <= 2, got "
-                f"({self.pos_margin}, {self.neg_margin})"
-            )
-
 
 @dataclass(frozen=True, eq=False)
 class MinedPairs:
@@ -103,7 +91,7 @@ def _drop_self_pairs(mask: np.ndarray) -> np.ndarray:
 
 
 def mine_pairs(
-    batch: EmbeddingBatch, reference: EmbeddingBatch, cfg: PairMinerConfig
+    batch: EmbeddingBatch, reference: EmbeddingBatch, cfg: TrainConfig
 ) -> MinedPairs:
     """Margin mining over the full distance matrix.
 
@@ -138,7 +126,7 @@ def _weights_to_grad(
 
 
 def contrastive_loss(
-    batch: EmbeddingBatch, reference: EmbeddingBatch, cfg: PairMinerConfig
+    batch: EmbeddingBatch, reference: EmbeddingBatch, cfg: TrainConfig
 ) -> LossOutput:
     """Margin-hinge contrastive loss over the pairs mine_pairs selects.
 
@@ -208,7 +196,7 @@ def triplet_loss(batch: EmbeddingBatch, reference: EmbeddingBatch, margin: float
 def xbm_loss(
     batch: EmbeddingBatch,
     bank: MemoryBank,
-    cfg: PairMinerConfig,
+    cfg: TrainConfig,
     variant: str,
 ) -> LossOutput:
     """Contrastive loss under one of the reference-set variants.

@@ -14,16 +14,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import TAG_TRAIN, TAG_VAL_GALLERY, TAG_VAL_QUERY, FeatureDataset
-from .embedder import MLPEmbedder, Optimizer, OptimizerConfig
+from .embedder import MLPEmbedder, Optimizer
 from .errors import InvalidConfig, NonFiniteLoss
-from .kalman import KalmanConfig, ema_step, kalman_init, kalman_step
-from .losses import PairMinerConfig, xbm_loss
+from .kalman import ema_step, kalman_init, kalman_step
+from .losses import xbm_loss
 from .memory import MemoryBank
 from .moments import EmbeddingBatch, MomentStats, compute_moments
 from .retrieval import _check_k_values, recall_at_k
 
 __all__ = [
     "VARIANTS",
+    "KALMAN_SETTINGS",
     "MethodVariant",
     "TrainConfig",
     "IterationRecord",
@@ -46,6 +47,9 @@ VARIANTS = {
     "axbn": ("xbm", "kalman"),
     "ema": ("xbm", "ema"),
 }
+
+# The TrainConfig fields only the kalman filter reads, so only its variants accept them.
+KALMAN_SETTINGS = ("q", "r", "p0")
 
 
 @dataclass(frozen=True)
@@ -106,10 +110,8 @@ class MethodVariant:
 class TrainConfig:
     """A run's settings, one field each: the config-file keys, and with dashes the flags.
 
-    Building it checks every setting and builds the parts TrainingRun reads:
-    main_optimizer (AdamW from lr, weight_decay and the schedule), kalman
-    (q, r, p0) and miner (the margins). They are attributes, not fields, so
-    they always match the fields.
+    Building it checks every setting, so the functions handed a TrainConfig
+    (the optimizer, the kalman filter, the miner and losses) take it as valid.
     """
 
     batch_size: int = 16
@@ -119,28 +121,24 @@ class TrainConfig:
     warmup_epochs: int = 2
     hidden_dims: tuple[int, ...] = (64, 32)
     embed_dim: int = 16
-    lr: float = 1e-4  # main stage
-    weight_decay: float = OptimizerConfig.weight_decay
-    schedule_gamma: float = 0.33
-    schedule_every: int = 15
+    lr: float = 1e-4  # main stage, AdamW
+    weight_decay: float = 0.0  # AdamW's decoupled weight decay
+    schedule_gamma: float = 0.33  # lr_at multiplies lr by it every schedule_every
+    schedule_every: int = 15  # main epochs; 0 never decays
     warmup_lr: float = 1e-3  # plain gradient steps on the last layer
-    pos_margin: float = PairMinerConfig.pos_margin
-    neg_margin: float = PairMinerConfig.neg_margin
+    pos_margin: float = 0.2  # the miner's margins, in distance units
+    neg_margin: float = 0.8
     recall_ks: tuple[int, ...] = (1, 10)
     probe_drift: bool = True
     seed: int = 0
-    q: float = KalmanConfig.q
-    p0: float = KalmanConfig.p0
-    r: float = KalmanConfig.r
+    q: float = 1.0  # kalman process-noise variance
+    p0: float = 1.0  # kalman initial estimation variance
+    r: float = 0.01  # kalman measurement-noise variance, scaled by 1/batch_size per step
 
     def __post_init__(self):
         if self.batch_size < 2:
             raise InvalidConfig(f"batch_size must be >= 2, got {self.batch_size}")
         _classes_per_batch(self.batch_size, self.samples_per_class)
-        if self.epochs < 0 or self.warmup_epochs < 0:
-            raise InvalidConfig("epoch counts must be >= 0")
-        if not 0.0 <= self.memory_fraction <= 1.0:
-            raise InvalidConfig(f"memory_fraction must be in [0, 1], got {self.memory_fraction}")
         if self.embed_dim < 1:
             raise InvalidConfig(f"embed_dim must be >= 1, got {self.embed_dim}")
         if any(h < 1 for h in self.hidden_dims):
@@ -148,12 +146,28 @@ class TrainConfig:
         if _check_k_values(self.recall_ks)[0] != 1:
             # run() picks the best epoch by R@1
             raise InvalidConfig(f"recall_ks must start with 1, got {self.recall_ks}")
-        if not 0.0 < self.warmup_lr < math.inf:
-            raise InvalidConfig(f"warmup_lr must be finite and > 0, got {self.warmup_lr}")
-        object.__setattr__(self, "main_optimizer", OptimizerConfig(
-            self.lr, self.weight_decay, self.schedule_gamma, self.schedule_every))
-        object.__setattr__(self, "kalman", KalmanConfig(q=self.q, r=self.r, p0=self.p0))
-        object.__setattr__(self, "miner", PairMinerConfig(self.pos_margin, self.neg_margin))
+        for key in ("epochs", "warmup_epochs", "schedule_every", "seed"):
+            if getattr(self, key) < 0:
+                raise InvalidConfig(f"{key} must be >= 0, got {getattr(self, key)}")
+        for key in ("memory_fraction", "schedule_gamma"):
+            if not 0.0 <= getattr(self, key) <= 1.0:
+                raise InvalidConfig(f"{key} must be in [0, 1], got {getattr(self, key)}")
+        for key in ("lr", "warmup_lr", "q", "p0"):
+            if not 0.0 < getattr(self, key) < math.inf:
+                raise InvalidConfig(f"{key} must be finite and > 0, got {getattr(self, key)}")
+        for key in ("weight_decay", "r"):
+            if not 0.0 <= getattr(self, key) < math.inf:
+                raise InvalidConfig(f"{key} must be finite and >= 0, got {getattr(self, key)}")
+        if not 0.0 <= self.pos_margin < self.neg_margin <= 2.0:
+            raise InvalidConfig(
+                "pos_margin and neg_margin must satisfy 0 <= pos_margin < neg_margin <= 2, "
+                f"got {self.pos_margin}, {self.neg_margin}")
+
+    def lr_at(self, main_epoch: int) -> float:
+        """The main stage's learning rate in its main_epoch-th epoch (0-based)."""
+        if self.schedule_every <= 0:
+            return self.lr
+        return self.lr * self.schedule_gamma ** (main_epoch // self.schedule_every)
 
     def resolve_capacity(self, train_size: int) -> int:
         return int(round(self.memory_fraction * train_size))
@@ -274,7 +288,7 @@ class TrainingRun:
         self.kalman_state = None
         self.stage = "warmup" if config.warmup_epochs > 0 else "main"
         # warmup never steps it, so the main stage starts it fresh
-        self.optimizer = Optimizer(config.main_optimizer, self.embedder)
+        self.optimizer = Optimizer(config, self.embedder)
         self.epoch = 0  # global epoch counter across both stages
         self.global_step = 0
         self.iterations: list[IterationRecord] = []
@@ -312,16 +326,16 @@ class TrainingRun:
             if stats_filter is not None:
                 obs = compute_moments(batch)
                 if self.kalman_state is None:
-                    self.kalman_state = kalman_init(obs, config.kalman)
+                    self.kalman_state = kalman_init(obs, config)
                 if stats_filter == "kalman":
-                    self.kalman_state = kalman_step(self.kalman_state, obs, batch.n, config.kalman)
+                    self.kalman_state = kalman_step(self.kalman_state, obs, batch.n, config)
                 else:
                     self.kalman_state = ema_step(self.kalman_state, obs, self.variant.momentum)
                 gain_val = self.kalman_state.gain
                 if len(self.bank) >= 2:
                     self.bank.adapt(
                         MomentStats(self.kalman_state.mean_est, self.kalman_state.std_est))
-            out = xbm_loss(batch, self.bank, config.miner, reference)
+            out = xbm_loss(batch, self.bank, config, reference)
             if not np.isfinite(out.value):
                 raise NonFiniteLoss("non-finite loss", self.global_step)
             grad = self.embedder.backward(cache, out.grad)
@@ -330,9 +344,8 @@ class TrainingRun:
             self.kalman_state = saved_kalman
             raise
         if in_main:
-            epoch = self.epoch - config.warmup_epochs  # the schedule counts main epochs
-            lr = config.main_optimizer.lr_at(epoch)
-            self.optimizer.step(grad, epoch)
+            lr = config.lr_at(self.epoch - config.warmup_epochs)
+            self.optimizer.step(grad, lr)
         else:  # the last layer's weight and bias, the tail of params
             lr = config.warmup_lr
             head = slice(-self.embedder.weights[-1].size - self.embedder.biases[-1].size, None)

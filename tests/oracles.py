@@ -99,8 +99,9 @@ class FifoList:
 class PerArrayOptimizer:
     """AdamW updating each weight and bias array on its own, with its own moments.
 
-    params is a list of independent arrays, updated in place. It uses the
-    usual betas (0.9, 0.999) and eps 1e-8.
+    params is a list of independent arrays, updated in place. config is a
+    TrainConfig, read for lr_at and weight_decay. It uses the usual betas
+    (0.9, 0.999) and eps 1e-8.
     """
 
     def __init__(self, config, params):

@@ -25,12 +25,10 @@ from crossbatch import (
     TAG_TRAIN,
     EmbeddingBatch,
     FeatureDataset,
-    KalmanConfig,
     MLPEmbedder,
     MemoryBank,
     MethodVariant,
     MomentStats,
-    PairMinerConfig,
     SyntheticConfig,
     TrainConfig,
     TrainingRun,
@@ -212,8 +210,8 @@ def test_a2_reduction_identities(capsys):
             z = run.embedder.embed(run.train_features[idx])
             batch = EmbeddingBatch(vectors=z, labels=run.train_labels[idx])
             parts = (
-                xbm_loss(batch, run.bank, cfg.miner, "no-xbm").value
-                + xbm_loss(batch, run.bank, cfg.miner, "xbm").value
+                xbm_loss(batch, run.bank, cfg, "no-xbm").value
+                + xbm_loss(batch, run.bank, cfg, "xbm").value
             )
             star_worst = max(star_worst, _rel(run.train_step(idx).loss, parts))
             steps += 1
@@ -250,7 +248,7 @@ def test_a3_kalman_recursion(capsys):
         MomentStats(mean=rng.uniform(-1.0, 1.0, 4), std=rng.uniform(0.5, 2.0, 4))
         for _ in range(11)
     ]
-    cfg = KalmanConfig(q=1.0, r=1.0, p0=1.0)
+    cfg = TrainConfig(q=1.0, r=1.0, p0=1.0)
     state = kalman_init(obs[0], cfg)
     worst_trace = 0.0
     gains = []
@@ -263,7 +261,7 @@ def test_a3_kalman_recursion(capsys):
     worst_trace = max(worst_trace, float(np.abs(state.mean_est - np.array(oracle_mean)).max()))
 
     # convergence to the closed-form fixed point by step 200
-    cfg2 = KalmanConfig(q=0.05, r=2.0, p0=10.0)
+    cfg2 = TrainConfig(q=0.05, r=2.0, p0=10.0)
     state = kalman_init(obs[0], cfg2)
     for _ in range(200):
         state = kalman_step(state, obs[1], 4, cfg2)
@@ -281,8 +279,8 @@ def test_a3_kalman_recursion(capsys):
         worst_inv = max(
             worst_inv,
             abs(
-                steady_state_gain(KalmanConfig(q=q, r=r, p0=1.0), b)
-                - steady_state_gain(KalmanConfig(q=c * q, r=c * r, p0=1.0), b)
+                steady_state_gain(TrainConfig(q=q, r=r, p0=1.0), b)
+                - steady_state_gain(TrainConfig(q=c * q, r=c * r, p0=1.0), b)
             ),
         )
 
@@ -302,7 +300,7 @@ def test_a3_kalman_recursion(capsys):
 
 
 def test_a4_gradients_match_finite_differences(capsys):
-    miner = PairMinerConfig()
+    miner = TrainConfig()
     menu = ("contrastive", "triplet", "no-xbm", "xbm", "xbm-star")
     hidden_options = ((8,), (16,), (32,), (8, 8), (32, 16))
     t0 = time.perf_counter()
@@ -360,7 +358,7 @@ def _unit_batch(rng, n, d, n_classes=3) -> EmbeddingBatch:
 
 
 def test_a5_oracle_parity(capsys):
-    miner = PairMinerConfig()
+    miner = TrainConfig()
     pair_bad = recall_bad = 0
     # Different summation orders (pairwise numpy vs fsum) legitimately differ
     # in the last ulp, so the triplet *value* check carries a few-ulp

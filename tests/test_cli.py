@@ -437,6 +437,8 @@ class TestFlagValidation:
         (("--memory-fraction", "1.5"), "memory_fraction must be in [0, 1], got 1.5"),
         # more parameters than numpy can index: refused before anything is allocated
         (("--embed-dim", "10000000000000000000"), "parameters, too many"),
+        (("--lr", "0"), "lr must be finite and > 0, got 0.0"),
+        (("--seed", "-1"), "seed must be >= 0, got -1"),
     ])
     def test_rejected_before_training(self, tmp_path, data_file, capsys, extra, needle):
         out = tmp_path / "out"
@@ -752,6 +754,19 @@ class TestSweep:
         assert [r["n_seeds"] for r in read_csv_rows(out / "sweep_summary.csv")] == ["1", "0"]
         assert f"failed: embed-dim={huge} xbm seed 0" in capsys.readouterr().out
 
+    def test_negative_seed_fails_its_cells_alone(self, tmp_path, data_file, capsys):
+        out = tmp_path / "sweep"
+        assert self.sweep(data_file, out, "--variants", "xbn,xbm", "--seeds", "0,-1") == 1
+        runs = read_csv_rows(out / "sweep_runs.csv")
+        assert [(r["variant"], r["seed"], r["status"]) for r in runs] == [
+            ("xbn", "0", "ok"), ("xbn", "-1", "failed"), ("xbm", "0", "ok"), ("xbm", "-1", "failed")
+        ]
+        assert {r["error"] for r in runs if r["status"] == "failed"} == {"seed must be >= 0, got -1"}
+        assert [r["n_seeds"] for r in read_csv_rows(out / "sweep_summary.csv")] == ["1", "1"]
+        assert {r["variant"] for r in read_csv_rows(out / "drift.csv")} == {"xbn", "xbm"}
+        assert not (out / "xbn" / "-1").exists() and not (out / "xbm" / "-1").exists()
+        assert capsys.readouterr().out.count("failed: ") == 2
+
     def test_drift_command_removed(self, tmp_path, data_file):
         out = tmp_path / "drift"  # the grid without an axis is sweep without --axis
         with pytest.raises(SystemExit) as exc:
@@ -897,6 +912,19 @@ class TestGenData:
         code = main(["gen-data", "--out", str(tmp_path / "d.xbnf"), "--protocol", "both"])
         assert code == 2
         assert "protocol must be single or query-gallery" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value,needle", [
+        ("--seed", "-1", "seed must be >= 0, got -1"),
+        # sizes numpy refuses to index, before it allocates anything
+        ("--train-classes", "10000000000000000000", "too many"),
+        ("--samples-per-class", "10000000000000000000", "too many"),
+        ("--input-dim", "10000000000000000000", "too many"),
+    ])
+    def test_rejected_setting_exits_2_without_file(self, tmp_path, capsys, flag, value, needle):
+        path = tmp_path / "d.xbnf"
+        assert main(["gen-data", "--out", str(path), flag, value]) == 2
+        assert needle in capsys.readouterr().err
+        assert not path.exists()
 
     def test_center_scale_flag_removed(self, tmp_path):
         # class centers are always drawn from the standard normal

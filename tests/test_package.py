@@ -21,6 +21,12 @@ def test_every_exported_name_exists():
         assert not missing, (name, missing)
 
 
+def test_part_configs_are_gone():
+    # TrainConfig alone declares, defaults and checks every run setting
+    for name in ("OptimizerConfig", "KalmanConfig", "PairMinerConfig"):
+        assert name not in crossbatch.__all__ and not hasattr(crossbatch, name)
+
+
 def test_package_exports_exactly_the_modules_public_names():
     modules = sorted(name for name in MODULES if name not in ("crossbatch", "crossbatch.cli"))
     expected = [n for name in modules for n in importlib.import_module(name).__all__]

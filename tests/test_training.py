@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,14 +10,11 @@ from crossbatch import (
     EmbeddingBatch,
     FeatureDataset,
     InvalidConfig,
-    KalmanConfig,
     MethodVariant,
     NonFiniteLoss,
     SyntheticConfig,
     TrainConfig,
     Optimizer,
-    OptimizerConfig,
-    PairMinerConfig,
     TrainingRun,
     compute_moments,
     generate_synthetic,
@@ -122,7 +120,6 @@ class TestTrainConfig:
             {"memory_fraction": -0.1},
             {"embed_dim": 0},
             {"hidden_dims": (8, 0)},
-            # settings of the parts TrainConfig builds
             {"lr": np.inf},
             {"lr": np.nan},
             {"warmup_lr": np.inf},
@@ -132,35 +129,59 @@ class TestTrainConfig:
             {"pos_margin": 0.9},
             {"memory_fraction": 1.5},
             {"memory_fraction": np.nan},
+            {"recall_ks": (5, 10)},
+            {"seed": -1},
+            {"lr": 0.0},
+            {"weight_decay": -0.1},
+            {"schedule_gamma": 1.5},
+            {"schedule_gamma": np.nan},
+            {"schedule_every": -1},
+            {"pos_margin": -0.1},
+            {"pos_margin": 0.5, "neg_margin": 0.5},
+            {"pos_margin": 0.8, "neg_margin": 0.2},
+            {"neg_margin": 2.5},
+            {"q": np.inf},
+            {"q": np.nan},
+            {"r": -0.5},
+            {"r": np.inf},
+            {"r": np.nan},
+            {"p0": 0.0},
+            {"p0": -1.0},
+            {"p0": np.inf},
+            {"p0": np.nan},
         ],
     )
     def test_invalid(self, kwargs):
-        with pytest.raises(InvalidConfig):
+        # the message names each setting it rejects as its config key (and flag) spells it
+        with pytest.raises(InvalidConfig) as caught:
             TrainConfig(**kwargs)
+        for key in kwargs:
+            assert re.search(rf"\b{key}\b", str(caught.value)), (key, str(caught.value))
 
-    @pytest.mark.parametrize("name,value", [
-        ("kalman", KalmanConfig()), ("main_optimizer", OptimizerConfig()), ("memory_capacity", 12),
-    ])
-    def test_removed_arguments(self, name, value):
-        # the parts are built from the flat fields; memory_fraction alone sizes the bank
+    @pytest.mark.parametrize("name", ["kalman", "main_optimizer", "miner", "memory_capacity"])
+    def test_removed_arguments_and_parts(self, name):
+        # every setting is a flat field; memory_fraction alone sizes the bank
         with pytest.raises(TypeError, match=name):
-            TrainConfig(**{name: value})
-
-    @pytest.mark.parametrize("changes", [{}, {"lr": 3e-3, "warmup_lr": 0.5, "q": 2.0,
-                                              "r": 0.5, "neg_margin": 1.2, "schedule_every": 0}])
-    def test_parts_are_built_from_the_fields(self, changes):
-        config = dataclasses.replace(TrainConfig(weight_decay=0.01, p0=3.0), **changes)
-        assert config.main_optimizer == OptimizerConfig(
-            learning_rate=config.lr, weight_decay=config.weight_decay,
-            schedule_gamma=config.schedule_gamma, schedule_every=config.schedule_every)
-        assert config.kalman == KalmanConfig(q=config.q, r=config.r, p0=config.p0)
-        assert config.miner == PairMinerConfig(config.pos_margin, config.neg_margin)
+            TrainConfig(**{name: None})
+        assert not hasattr(TrainConfig(), name)
 
     def test_replace_into_invalid_value(self):
         with pytest.raises(InvalidConfig, match=r"^embed_dim must be >= 1, got 0$"):
             dataclasses.replace(TrainConfig(), embed_dim=0)
         with pytest.raises(InvalidConfig, match=r"^memory_fraction must be in \[0, 1\], got 2.0$"):
             dataclasses.replace(TrainConfig(), memory_fraction=2.0)
+        with pytest.raises(InvalidConfig, match=r"^lr must be finite and > 0, got inf$"):
+            dataclasses.replace(TrainConfig(), lr=np.inf)
+        with pytest.raises(InvalidConfig, match=r"^r must be finite and >= 0, got -0.5$"):
+            dataclasses.replace(TrainConfig(), r=-0.5)
+
+    def test_lr_at_steps_the_main_stage_schedule(self):
+        cfg = TrainConfig(lr=1e-4, schedule_gamma=0.33, schedule_every=15)
+        assert cfg.lr_at(0) == 1e-4
+        assert cfg.lr_at(14) == 1e-4
+        assert cfg.lr_at(15) == pytest.approx(0.33e-4)
+        assert cfg.lr_at(30) == pytest.approx(0.33**2 * 1e-4)
+        assert TrainConfig(lr=1e-4, schedule_every=0).lr_at(30) == 1e-4
 
     @pytest.mark.parametrize(
         "recall_ks,needle",
@@ -443,8 +464,8 @@ class TestTrainingLoop:
         grads = record_gradients(run, monkeypatch)
         expected = run.embedder.clone()
         record = run.train_step(run.epoch_batches()[0])
-        fresh = Optimizer(cfg.main_optimizer, expected)
-        fresh.step(grads[0], epoch=0)
+        fresh = Optimizer(cfg, expected)
+        fresh.step(grads[0], cfg.lr_at(0))
         assert record.stage == "main" and record.lr == 1e-3
         assert run.optimizer.t == fresh.t == 1
         assert run.embedder.params.tobytes() == expected.params.tobytes()
