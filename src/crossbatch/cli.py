@@ -17,7 +17,7 @@ import os
 import re
 import sys
 from dataclasses import fields, replace
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +26,8 @@ from .data import FeatureDataset, SyntheticConfig, generate_synthetic, load_feat
 from .embedder import load_checkpoint, save_checkpoint
 from .errors import CrossbatchError, InvalidConfig
 from .retrieval import available_cpus
-from .training import (KALMAN_SETTINGS, VARIANTS, MethodVariant, TrainConfig, TrainingRun,
-                       TrainResult, evaluate)
+from .training import (KALMAN_SETTINGS, VARIANTS, EpochRecord, IterationRecord, MethodVariant,
+                       TrainConfig, TrainingRun, TrainResult, evaluate)
 
 __all__ = ["main", "entrypoint", "read_metrics", "read_csv_rows"]
 
@@ -162,11 +162,11 @@ def _config_text(config: TrainConfig, variant: MethodVariant, dataset) -> str:
     return text
 
 
-def write_metrics(result: TrainResult, path: Path) -> None:
-    with open(path, "w") as f:
-        for kind, records in (("iteration", result.iterations), ("epoch", result.epoch_records)):
-            for record in records:  # vars(): the fields in order, without asdict()'s deep copy
-                f.write(json.dumps({"type": kind, **vars(record)}) + "\n")
+def write_metrics(f, record: IterationRecord | EpochRecord) -> None:
+    """Write record to f as one line of metrics.jsonl, typed by its class."""
+    kind = "iteration" if isinstance(record, IterationRecord) else "epoch"
+    # vars(): the fields in order, without asdict()'s deep copy
+    f.write(json.dumps({"type": kind, **vars(record)}) + "\n")
 
 
 def read_metrics(path) -> tuple[list[dict], list[dict]]:
@@ -201,8 +201,8 @@ def _run_one(config: TrainConfig, variant: MethodVariant, dataset_path,
     config_text = _config_text(config, variant, dataset_path)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.txt").write_text(config_text)
-    result = trainer.run()
-    write_metrics(result, out_dir / "metrics.jsonl")
+    with open(out_dir / "metrics.jsonl", "w", buffering=1) as f:  # each line reaches disk whole
+        result = trainer.run(partial(write_metrics, f))
     _write_csv(
         out_dir / "summary.csv",
         ["variant", "seed", "best_epoch"] + [f"r_at_{k}" for k in config.recall_ks],
@@ -285,6 +285,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         _coerce("seed", s) for s in args.seeds.split(",")
     ]
     variants = [MethodVariant.parse(name) for name in args.variants.split(",")]
+    if not any(variant.stats_filter == "kalman" for variant in variants):  # none reads q/r/p0
+        build_variant({**settings, key: values[0], "variant": variants[0].spec})
     _distinct("--values", values)
     _distinct("--variants", [variant.spec for variant in variants])
     _distinct("--seeds", seeds)

@@ -198,15 +198,8 @@ class EpochRecord:
 @dataclass
 class TrainResult:
     embedder: MLPEmbedder  # parameters of the best validation-R@1 epoch
-    final_embedder: MLPEmbedder
     best_epoch: int
     best_recall: dict[int, float]
-    iterations: list[IterationRecord]
-    epoch_records: list[EpochRecord]
-
-    @property
-    def best_r1(self) -> float:
-        return self.best_recall[1]
 
 
 def _rng(seed: int, *tags: int) -> np.random.Generator:
@@ -286,17 +279,17 @@ class TrainingRun:
         self.embedder = MLPEmbedder(dims, seed=_rng(config.seed, 1))
         self.bank = MemoryBank(capacity, config.embed_dim)
         self.kalman_state = None
-        self.stage = "warmup" if config.warmup_epochs > 0 else "main"
         # warmup never steps it, so the main stage starts it fresh
         self.optimizer = Optimizer(config, self.embedder)
         self.epoch = 0  # global epoch counter across both stages
         self.global_step = 0
-        self.iterations: list[IterationRecord] = []
-        self.epoch_records: list[EpochRecord] = []
         n_probe = min(config.batch_size, len(self.train_labels))
-        rows = _rng(config.seed, 2).choice(len(self.train_labels), size=n_probe, replace=False)
-        self._probe_rows, self.probe_inputs = rows, self.train_features[rows]
+        self.probe_rows = _rng(config.seed, 2).choice(len(train_rows), n_probe, replace=False)
         self._prev_probe_z = None  # the probe rows' embeddings in the last successful forward
+
+    @property
+    def stage(self) -> str:
+        return "warmup" if self.epoch < self.config.warmup_epochs else "main"
 
     def train_step(self, batch_indices: np.ndarray) -> IterationRecord:
         """One optimizer step on the given train-row indices.
@@ -311,7 +304,7 @@ class TrainingRun:
         config = self.config
         if config.probe_drift:  # the probe rows ride after the batch rows, outside the cache
             n = len(batch_indices)
-            rows = np.concatenate((batch_indices, self._probe_rows))
+            rows = np.concatenate((batch_indices, self.probe_rows))
             z, cache = self.embedder.forward(self.train_features[rows], cached=n)
             z, probe_z = z[:n], z[n:]
         else:
@@ -371,7 +364,6 @@ class TrainingRun:
             drift_max=drift_max,
         )
         self.global_step += 1
-        self.iterations.append(record)
         return record
 
     def evaluate(self, embedder: MLPEmbedder | None = None) -> dict[int, float]:
@@ -385,10 +377,16 @@ class TrainingRun:
             self.train_labels, self.config.batch_size, self.config.samples_per_class, seed
         )
 
-    def run_epoch(self) -> EpochRecord:
-        """All steps of the current epoch plus validation bookkeeping."""
-        records = [self.train_step(idx) for idx in self.epoch_batches()]
-        recall = self.evaluate() if self._validates else {}
+    def run_epoch(self, emit=lambda record: None) -> EpochRecord:
+        """The epoch's steps and validation; then emits each finished step's record and its own."""
+        records = []
+        try:
+            for idx in self.epoch_batches():
+                records.append(self.train_step(idx))
+            recall = self.evaluate() if self._validates else {}
+        finally:  # after a raise too; a call between steps would cost each step 2-3%
+            for record in records:
+                emit(record)
         drift_means = [r.drift_mean for r in records if r.drift_mean is not None]
         drift_maxes = [r.drift_max for r in records if r.drift_max is not None]
         record = EpochRecord(
@@ -399,18 +397,17 @@ class TrainingRun:
             max_drift=float(np.mean(drift_maxes)) if drift_maxes else None,
             recall=recall,
         )
-        self.epoch_records.append(record)
+        emit(record)
         self.epoch += 1
-        self.stage = "main" if self.epoch >= self.config.warmup_epochs else "warmup"
         return record
 
-    def run(self) -> TrainResult:
-        """Warmup epochs, then main epochs; returns the best-R@1 parameters."""
+    def run(self, emit=lambda record: None) -> TrainResult:
+        """Warmup epochs, then main epochs by run_epoch(emit); returns the best-R@1 parameters."""
         best_recall: dict[int, float] = {}
         best_epoch = -1
         total = self.config.warmup_epochs + self.config.epochs
         for _ in range(total):
-            record = self.run_epoch()
+            record = self.run_epoch(emit)
             r1 = record.recall.get(1)
             if r1 is not None and (best_epoch < 0 or r1 > best_recall.get(1, -1.0)):
                 best_recall = dict(record.recall)
@@ -420,14 +417,7 @@ class TrainingRun:
             # No validation signal (no val rows or zero epochs): final params.
             best_embedder = self.embedder.clone()
             best_recall = self.evaluate() if self._validates else {}
-        return TrainResult(
-            embedder=best_embedder,
-            final_embedder=self.embedder,
-            best_epoch=best_epoch,
-            best_recall=best_recall,
-            iterations=self.iterations,
-            epoch_records=self.epoch_records,
-        )
+        return TrainResult(embedder=best_embedder, best_epoch=best_epoch, best_recall=best_recall)
 
 
 def evaluate(embedder: MLPEmbedder, dataset: FeatureDataset, k_values) -> dict[int, float]:

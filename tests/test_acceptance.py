@@ -24,6 +24,7 @@ import pytest
 from crossbatch import (
     TAG_TRAIN,
     EmbeddingBatch,
+    EpochRecord,
     FeatureDataset,
     MLPEmbedder,
     MemoryBank,
@@ -448,10 +449,12 @@ def _desk_run(dataset, cell):
         schedule_gamma=1.0,  # the desk runs train at a constant lr
         schedule_every=0,
     )
+    epochs = []
     t0 = time.perf_counter()
-    result = TrainingRun(cfg, dataset, MethodVariant(kind)).run()
+    result = TrainingRun(cfg, dataset, MethodVariant(kind)).run(
+        lambda record: epochs.append(record) if isinstance(record, EpochRecord) else None)
     elapsed = time.perf_counter() - t0
-    return SimpleNamespace(best_r1=result.best_r1, epoch_records=result.epoch_records), elapsed
+    return SimpleNamespace(best_r1=result.best_recall[1], epoch_records=epochs), elapsed
 
 
 @pytest.fixture(scope="module")

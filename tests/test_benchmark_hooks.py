@@ -50,6 +50,10 @@ def test_traced_axbn_run_finds_every_patch_point(tmp_path):
     assert set(out["missing"]) <= KNOWN_DEAD
     spans = {name for name, *_ in out["spans"]}
     assert {"losses.mine_pairs", "losses.contrastive_loss", "memory.adapt"} <= spans
+    # one write_metrics call, and span, per line of the run's metrics.jsonl
+    lines = (tmp_path / "runs" / "axbn" / "0" / "metrics.jsonl").read_text().splitlines()
+    writes = [name for name, *_ in out["spans"] if name == "cli.write_metrics"]
+    assert len(writes) == len(lines) == 14
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,7 @@
 import concurrent.futures
 import dataclasses
+import itertools
+import json
 import os
 import subprocess
 import sys
@@ -371,6 +373,55 @@ class TestTrain:
         stdout = capsys.readouterr().out
         assert "best epoch" in stdout and "R@1" in stdout
 
+    def test_each_epoch_writes_its_steps_then_itself(self, tmp_path, data_file):
+        out = tmp_path / "out"
+        assert main(train_argv(data_file, out, "--variant", "axbn")) == 0
+        lines = (out / "axbn" / "0" / "metrics.jsonl").read_text().splitlines()
+        order = [(r["type"], r["epoch"]) for r in map(json.loads, lines)]
+        assert order == [
+            (kind, epoch) for epoch in range(3) for kind in ["iteration"] * 6 + ["epoch"]
+        ]
+
+    @staticmethod
+    def fail_at_step(monkeypatch, k, fail):
+        """Make the k-th training step (0-based) call fail(out) on its loss output."""
+        import crossbatch.training as training_module
+
+        loss, steps = training_module.xbm_loss, itertools.count()
+
+        def failing(*args):
+            out = loss(*args)
+            return fail(out) if next(steps) == k else out
+
+        monkeypatch.setattr(training_module, "xbm_loss", failing)
+
+    @pytest.mark.parametrize("k", [0, 8])
+    def test_non_finite_loss_keeps_the_finished_steps(self, tmp_path, data_file, monkeypatch,
+                                                      capsys, k):
+        nan = float("nan")
+        self.fail_at_step(monkeypatch, k, lambda out: dataclasses.replace(out, value=nan))
+        out = tmp_path / "out"
+        assert main(train_argv(data_file, out, "--variant", "axbn")) == 2
+        assert f"non-finite loss (step {k})" in capsys.readouterr().err
+        run_dir = out / "axbn" / "0"
+        iterations, epochs = read_metrics(run_dir / "metrics.jsonl")
+        assert [r["step"] for r in iterations] == list(range(k))
+        assert [r["epoch"] for r in epochs] == list(range(k // 6))  # 6 steps an epoch
+        assert sorted(p.name for p in run_dir.iterdir()) == ["config.txt", "metrics.jsonl"]
+
+    def test_interrupt_leaves_only_whole_lines(self, tmp_path, data_file, monkeypatch):
+        def interrupt(out):
+            raise KeyboardInterrupt
+
+        self.fail_at_step(monkeypatch, 10, interrupt)
+        out = tmp_path / "out"
+        with pytest.raises(KeyboardInterrupt):
+            main(train_argv(data_file, out, "--variant", "xbn"))
+        text = (out / "xbn" / "0" / "metrics.jsonl").read_text()
+        assert text.endswith("\n")
+        iterations, epochs = read_metrics(out / "xbn" / "0" / "metrics.jsonl")
+        assert (len(iterations), len(epochs)) == (10, 1)
+
     def test_two_runs_identical(self, tmp_path, data_file):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
@@ -676,6 +727,20 @@ class TestSweep:
         assert metrics(0, "axbn") == metrics(0, "xbn")  # axbn at r=0 is xbn step for step
         assert metrics(1, "xbn") == metrics(0, "xbn")  # r does not reach xbn
         assert metrics(1, "axbn") != metrics(0, "axbn")
+
+    @pytest.mark.parametrize("extra, needle", [
+        (("--axis", "r", "--values", "0.01,1"), "r applies"),
+        (("--q", "2"), "q applies"),
+        (("--config", "p0.cfg"), "p0 applies"),
+    ])
+    def test_kalman_setting_no_variant_reads_exits_2(self, tmp_path, data_file, monkeypatch,
+                                                       capsys, extra, needle):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "p0.cfg").write_text("p0 = 0.5\n")
+        out = tmp_path / "sweep"
+        assert self.sweep(data_file, out, *extra, "--variants", "xbn,xbm", "--seeds", "0") == 2
+        assert f"{needle} only to the axbn variant, not 'xbn'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_distinct_values_get_distinct_directories(self, tmp_path, data_file):
         out = tmp_path / "sweep"

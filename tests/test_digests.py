@@ -48,12 +48,12 @@ GRID_FILES = ("sweep_runs.csv", "sweep_summary.csv", "drift.csv")
 
 DIGESTS = {
     # train --variant V: checkpoint.xbnc / metrics.jsonl / summary.csv
-    "no-xbm": ("938482a7cd2772e1", "e07882d009fc2fce", "3a82673040269cff"),
-    "xbm": ("e52c798e103e0f03", "4ad2b08a330f2dde", "84ccab48c03fe7ef"),
-    "xbm-star": ("74edbed54a992480", "ecd655f36f513205", "83e4011bd00ce525"),
-    "xbn": ("e42338f27bcf94d6", "f6a2ccd4d81f01d5", "1a98648f2eab9f1f"),
-    "axbn": ("5719796d82eddd75", "291cb050a4711880", "11ed6b253b54ef8d"),
-    "ema:0.5": ("7ac868c5a7897546", "cc1c047019a5ac98", "763b107b64bd7c76"),
+    "no-xbm": ("938482a7cd2772e1", "d249e553db06ffc6", "3a82673040269cff"),
+    "xbm": ("e52c798e103e0f03", "299b84522da31469", "84ccab48c03fe7ef"),
+    "xbm-star": ("74edbed54a992480", "0cf02d7d5901c9ec", "83e4011bd00ce525"),
+    "xbn": ("e42338f27bcf94d6", "0b1e5795f831ed53", "1a98648f2eab9f1f"),
+    "axbn": ("5719796d82eddd75", "df71f74720475d7a", "11ed6b253b54ef8d"),
+    "ema:0.5": ("7ac868c5a7897546", "da0060aceecce37d", "763b107b64bd7c76"),
     # grids: sweep_runs.csv / sweep_summary.csv / drift.csv
     "sweep": ("38313beab30a8e85", "1fe7e27081ce5d23", "222ff53038e5c956"),
     "drift": ("fccf6b24ce175711", "b4849f8d5ef84acd", "b6a99b00b77fdafa"),

@@ -8,8 +8,10 @@ import pytest
 from crossbatch import (
     TAG_TRAIN,
     EmbeddingBatch,
+    EpochRecord,
     FeatureDataset,
     InvalidConfig,
+    IterationRecord,
     MethodVariant,
     NonFiniteLoss,
     SyntheticConfig,
@@ -46,6 +48,19 @@ def small_config(**kw):
     )
     base.update(kw)
     return TrainConfig(**base)
+
+
+def run_with_records(run):
+    """run.run(), with the records it emits: (result, step records, epoch records)."""
+    records = []
+    result = run.run(records.append)
+    return (result, [r for r in records if isinstance(r, IterationRecord)],
+            [r for r in records if isinstance(r, EpochRecord)])
+
+
+def probe_embedding(run) -> np.ndarray:
+    """The drift probe's rows embedded with run's current parameters."""
+    return run.embedder.embed(run.train_features[run.probe_rows])
 
 
 def record_gradients(run, monkeypatch) -> list:
@@ -278,9 +293,9 @@ class TestFeatureDrift:
         run = TrainingRun(small_config(warmup_epochs=0), dataset, MethodVariant("axbn"))
         batches = run.epoch_batches()
         run.train_step(batches[0])
-        before = run.embedder.embed(run.probe_inputs)
+        before = probe_embedding(run)
         run.train_step(batches[1])
-        after = run.embedder.embed(run.probe_inputs)
+        after = probe_embedding(run)
         record = run.train_step(batches[2])  # records the move made by batches[1]'s update
         dists = [
             math.sqrt(math.fsum((x - y) ** 2 for x, y in zip(za, zb)))
@@ -292,7 +307,7 @@ class TestFeatureDrift:
 
     def test_equals_linalg_norm_byte_for_byte(self, dataset):
         run = TrainingRun(small_config(warmup_epochs=0), dataset, MethodVariant("axbn"))
-        before = run.embedder.embed(run.probe_inputs)
+        before = probe_embedding(run)
         norms = None  # step t's move, recorded by step t + 1
         for idx in run.epoch_batches()[:5]:
             record = run.train_step(idx)
@@ -301,7 +316,7 @@ class TestFeatureDrift:
             else:
                 assert record.drift_mean.hex() == float(norms.mean()).hex()
                 assert record.drift_max.hex() == float(norms.max()).hex()
-            after = run.embedder.embed(run.probe_inputs)
+            after = probe_embedding(run)
             norms = np.linalg.norm(after - before, axis=1)
             before = after
 
@@ -315,13 +330,13 @@ class TestFeatureDrift:
         run = TrainingRun(small_config(warmup_epochs=0), dataset, MethodVariant("axbn"))
         batches = run.epoch_batches()
         for idx in batches[:failing_step]:
-            before = run.embedder.embed(run.probe_inputs)  # the last successful forward's
+            before = probe_embedding(run)  # the last successful forward's
             run.train_step(idx)
         with monkeypatch.context() as patch:
             patch.setattr(training_module, "xbm_loss", poisoned)
             with pytest.raises(NonFiniteLoss):
                 run.train_step(batches[failing_step])
-        now = run.embedder.embed(run.probe_inputs)
+        now = probe_embedding(run)
         record = run.train_step(batches[failing_step + 1])
         if failing_step == 0:  # no step has succeeded yet: nothing to compare against
             assert (record.drift_mean, record.drift_max) == (None, None)
@@ -399,35 +414,37 @@ class TestTrainingRunSetup:
 
 class TestTrainingLoop:
     def test_record_counts_and_drift_range(self, dataset):
-        result = TrainingRun(small_config(), dataset, MethodVariant("xbn")).run()
+        run = TrainingRun(small_config(), dataset, MethodVariant("xbn"))
+        result, iterations, epochs = run_with_records(run)
         # 1 warmup + 3 main epochs, ceil(48 / 8) = 6 batches each
-        assert len(result.epoch_records) == 4
-        assert len(result.iterations) == 24
-        assert [r.epoch for r in result.epoch_records] == [0, 1, 2, 3]
-        assert (result.iterations[0].drift_mean, result.iterations[0].drift_max) == (None, None)
-        for r in result.iterations[1:]:
+        assert len(epochs) == 4
+        assert len(iterations) == 24
+        assert [r.epoch for r in epochs] == [0, 1, 2, 3]
+        assert (iterations[0].drift_mean, iterations[0].drift_max) == (None, None)
+        for r in iterations[1:]:
             assert 0.0 <= r.drift_mean <= r.drift_max <= 2.0 + 1e-12
         assert 0 <= result.best_epoch <= 3
         assert set(result.best_recall) == {1, 5}
 
     def test_run_is_deterministic(self, dataset):
-        a = TrainingRun(small_config(), dataset, MethodVariant("axbn")).run()
-        b = TrainingRun(small_config(), dataset, MethodVariant("axbn")).run()
-        for wa, wb in zip(a.final_embedder.weights, b.final_embedder.weights):
+        run_a = TrainingRun(small_config(), dataset, MethodVariant("axbn"))
+        run_b = TrainingRun(small_config(), dataset, MethodVariant("axbn"))
+        (a, steps_a, _), (b, steps_b, _) = run_with_records(run_a), run_with_records(run_b)
+        for wa, wb in zip(run_a.embedder.weights, run_b.embedder.weights):
             np.testing.assert_array_equal(wa, wb)
-        assert [r.loss for r in a.iterations] == [r.loss for r in b.iterations]
+        assert [r.loss for r in steps_a] == [r.loss for r in steps_b]
         assert a.best_epoch == b.best_epoch
         assert a.best_recall == b.best_recall
 
     def test_warmup_is_variant_independent(self, dataset):
         cfg = small_config(epochs=0, warmup_epochs=2)
-        runs = {
-            kind: TrainingRun(cfg, dataset, MethodVariant(kind)).run()
-            for kind in ("no-xbm", "xbm", "xbn")
-        }
-        base = runs["no-xbm"].final_embedder
+        runs = {kind: TrainingRun(cfg, dataset, MethodVariant(kind))
+                for kind in ("no-xbm", "xbm", "xbn")}
+        for run in runs.values():
+            run.run()
+        base = runs["no-xbm"].embedder
         for kind in ("xbm", "xbn"):
-            for a, b in zip(base.weights, runs[kind].final_embedder.weights):
+            for a, b in zip(base.weights, runs[kind].embedder.weights):
                 np.testing.assert_array_equal(a, b)
 
     def test_warmup_trains_only_the_last_layer(self, dataset):
@@ -472,18 +489,30 @@ class TestTrainingLoop:
 
     def test_stage_transition_gain_and_lr(self, dataset):
         run = TrainingRun(small_config(epochs=1), dataset, MethodVariant("axbn"))
-        rec_w = run.run_epoch()
+        records = []
+        rec_w = run.run_epoch(records.append)
         assert rec_w.stage == "warmup"
         assert run.stage == "main"  # flipped after the warmup epoch
-        rec_m = run.run_epoch()
+        rec_m = run.run_epoch(records.append)
         assert rec_m.stage == "main"
-        warm = [r for r in run.iterations if r.stage == "warmup"]
-        main = [r for r in run.iterations if r.stage == "main"]
-        assert warm and main
+        assert records[6] is rec_w and records[13] is rec_m  # each epoch's 6 steps, then itself
+        warm, main = records[:6], records[7:13]
+        assert all(r.stage == "warmup" for r in warm) and all(r.stage == "main" for r in main)
         assert all(r.gain is None for r in warm)
         assert all(r.gain is not None for r in main)
         assert all(r.lr == 1e-3 for r in warm)  # default warmup_lr
         assert all(r.lr == 1e-4 for r in main)  # default main AdamW, epoch 0
+
+    def test_stage_follows_the_epoch_in_stepwise_use(self, dataset):
+        # a caller driving train_step advances epoch itself, as run_epoch() would
+        run = TrainingRun(small_config(), dataset, MethodVariant("axbn"))  # 1 warmup epoch
+        batches = run.epoch_batches()
+        assert run.train_step(batches[0]).stage == "warmup"
+        run.epoch += 1
+        record = run.train_step(batches[1])
+        assert record.stage == run.stage == "main"
+        assert record.lr == 1e-4 and record.gain is not None
+        assert len(run.bank) == 8  # the main step enqueued its batch
 
     def test_first_main_step_loss_shared_across_variants(self, dataset):
         # nothing is enqueued during warmup, so the first main step sees an
@@ -583,7 +612,6 @@ class TestTrainingLoop:
             kalman_before = run.kalman_state
             step_before = run.global_step
             weights_before = [w.copy() for w in run.embedder.weights]
-            n_records = len(run.iterations)
 
             with monkeypatch.context() as patch:
                 patch.setattr(training_module, "xbm_loss", poisoned)
@@ -596,15 +624,14 @@ class TestTrainingLoop:
             assert run.bank.labels.tobytes() == bank_labels
             assert run.kalman_state is kalman_before
             assert run.global_step == step_before
-            assert len(run.iterations) == n_records
             for w, w0 in zip(run.embedder.weights, weights_before):
                 np.testing.assert_array_equal(w, w0)
 
     def test_drift_probe_disabled(self, dataset):
         cfg = small_config(probe_drift=False, warmup_epochs=0, epochs=1)
-        result = TrainingRun(cfg, dataset, MethodVariant("xbn")).run()
-        assert all(r.drift_mean is None for r in result.iterations)
-        assert result.epoch_records[0].mean_drift is None
+        _, iterations, epochs = run_with_records(TrainingRun(cfg, dataset, MethodVariant("xbn")))
+        assert all(r.drift_mean is None for r in iterations)
+        assert epochs[0].mean_drift is None
 
     def test_no_validation_rows(self, dataset):
         ds = FeatureDataset(
@@ -612,17 +639,19 @@ class TestTrainingLoop:
             labels=dataset.labels,
             splits=np.zeros(dataset.n, dtype=np.uint8),
         )
-        result = TrainingRun(small_config(epochs=1), ds, MethodVariant("xbm")).run()
+        run = TrainingRun(small_config(epochs=1), ds, MethodVariant("xbm"))
+        result = run.run()
         assert result.best_epoch == -1
         assert result.best_recall == {}
-        for a, b in zip(result.embedder.weights, result.final_embedder.weights):
+        for a, b in zip(result.embedder.weights, run.embedder.weights):
             np.testing.assert_array_equal(a, b)
         with pytest.raises(InvalidConfig):
             TrainingRun(small_config(), ds, MethodVariant("xbm")).evaluate()
 
     def test_best_epoch_tracks_strict_improvement(self, dataset):
-        result = TrainingRun(small_config(), dataset, MethodVariant("xbn")).run()
-        r1_by_epoch = [rec.recall[1] for rec in result.epoch_records]
+        run = TrainingRun(small_config(), dataset, MethodVariant("xbn"))
+        result, _, epochs = run_with_records(run)
+        r1_by_epoch = [rec.recall[1] for rec in epochs]
         assert result.best_recall[1] == max(r1_by_epoch)
         # earliest epoch achieving the maximum wins (later ties don't replace)
         assert result.best_epoch == r1_by_epoch.index(max(r1_by_epoch))
